@@ -113,9 +113,6 @@ void tally_sequential_counters(const BmcSide& b, const KindSide& k, JobResult* r
   r->vivified_clauses = b.stats.vivified_clauses;
   r->hit_memory_limit = b.stats.hit_memory_limit;
   r->sat_retries = b.stats.sat_retries;
-  r->clauses_exported = b.stats.clauses_exported;
-  r->clauses_imported = b.stats.clauses_imported;
-  r->vault_hits = b.stats.vault_hits;
   if (k.ran) {
     r->conflicts += k.result.solver_conflicts;
     r->propagations += k.result.solver_propagations;
@@ -130,17 +127,13 @@ void tally_sequential_counters(const BmcSide& b, const KindSide& k, JobResult* r
     r->vivified_clauses += k.result.vivified_clauses;
     r->hit_memory_limit = r->hit_memory_limit || k.result.hit_memory_limit;
     r->sat_retries += k.result.sat_retries;
-    r->clauses_exported += k.result.clauses_exported;
-    r->clauses_imported += k.result.clauses_imported;
-    r->vault_hits += k.result.vault_hits;
   }
 }
 
 }  // namespace
 
 JobResult run_job(const JobSpec& job,
-                  const std::shared_ptr<smt::ConeCache>& cone_cache,
-                  const std::shared_ptr<sat::ClauseVault>& clause_vault) {
+                  const std::shared_ptr<smt::ConeCache>& cone_cache) {
   assert(job.build && "JobSpec needs a model builder");
   Stopwatch clock;
   JobResult r;
@@ -152,36 +145,9 @@ JobResult run_job(const JobSpec& job,
   // spec-level nullopt means plain Tseitin.
   const bool plaisted_greenbaum = job.budget.plaisted_greenbaum.value_or(false);
 
-  // Clause sharing. Disabled under conflict budgets and memory ceilings:
-  // an implied import can never change a verdict, but it CAN change when
-  // a budget trips, and in race mode pool content is timing-dependent —
-  // so a budget-capped job with sharing on could flip between Unknown and
-  // definite run to run. Without budgets, imports only shortcut searches
-  // whose answers are already fixed.
-  const unsigned share_cap =
-      (job.budget.conflict_budget != 0 || job.budget.memory_limit_mb != 0)
-          ? 0
-          : job.budget.share_clauses;
-  // Sequential mode runs one entrant per prover — except with sharing on,
-  // where extra portfolio entrants become epoch-synchronized helpers: they
-  // run to completion FIRST, exporting their learnts to the vault under
-  // every epoch of the (identical) blast chain, and entrant 0 then imports
-  // them at the matching epochs. This is the deterministic mirror of the
-  // racing portfolio: job counters report entrant 0's path either way (a
-  // race never counts the losers' work), so the conflict saving from
-  // cross-pollination lands in the perf trajectory bit-reproducibly.
+  // Sequential mode runs one entrant per prover.
   const unsigned portfolio =
-      job.budget.sequential_provers
-          ? (share_cap != 0 ? std::max(1u, job.budget.portfolio) : 1)
-          : std::max(1u, job.budget.portfolio);
-  // Tier 1, intra-job: one exchange pool for every entrant of both
-  // provers. Sequential mode skips it (one solver stack lives at a time;
-  // the vault already carries clauses between them deterministically).
-  std::unique_ptr<sat::ClauseExchange> exchange;
-  if (share_cap != 0 && !job.budget.sequential_provers)
-    exchange = std::make_unique<sat::ClauseExchange>();
-  // Tier 2, cross-job: the campaign vault.
-  sat::ClauseVault* vault = share_cap != 0 ? clause_vault.get() : nullptr;
+      job.budget.sequential_provers ? 1 : std::max(1u, job.budget.portfolio);
 
   // Entrants: `portfolio` BMC sweeps and (optionally) `portfolio`
   // k-induction runs, each on its own solver configuration. Entrant 0 of
@@ -217,8 +183,7 @@ JobResult run_job(const JobSpec& job,
     if (!job.build(ts, &side.build_error)) return;
     sat::SolverConfig cfg = sat::SolverConfig::portfolio_member(idx);
     cfg.memory_limit_mb = job.budget.memory_limit_mb;
-    bmc::Bmc checker(ts, cfg, plaisted_greenbaum, cone_cache, job.budget.backend,
-                     sat::SharingContext{exchange.get(), vault, idx, share_cap});
+    bmc::Bmc checker(ts, cfg, plaisted_greenbaum, cone_cache, job.budget.backend);
     bmc::BmcOptions bo;
     bo.max_bound = job.budget.max_bound;
     bo.conflict_budget_per_bound = job.budget.conflict_budget;
@@ -229,10 +194,7 @@ JobResult run_job(const JobSpec& job,
     if (side.found && (!stop_flag || try_claim(static_cast<int>(idx)))) {
       // The native default-config witness is already canonical; any other
       // winner's trace is re-derived after the join (canonical_witness).
-      // Sharing disqualifies the direct read-back too: imports steer the
-      // model toward whatever the pool happened to contain.
-      if (idx == 0 && job.budget.backend == sat::BackendKind::Native &&
-          share_cap == 0) {
+      if (idx == 0 && job.budget.backend == sat::BackendKind::Native) {
         side.witness_text = bmc::witness_to_string(ts, *side.found);
         side.bad_label = side.found->bad_label;
         side.trace =
@@ -257,15 +219,11 @@ JobResult run_job(const JobSpec& job,
     ko.plaisted_greenbaum = plaisted_greenbaum;
     ko.cone_cache = cone_cache;
     ko.backend = job.budget.backend;
-    // Members `portfolio + 2*idx` (base Bmc) and `+1` (inductive window):
-    // disjoint from the BMC entrants' 0..portfolio-1 and from each other.
-    ko.sharing =
-        sat::SharingContext{exchange.get(), vault, portfolio + 2 * idx, share_cap};
     side.result = bmc::prove_by_k_induction(ts, ko);
     if (side.result.status != bmc::KInductionStatus::Unknown &&
         (!stop_flag || try_claim(static_cast<int>(portfolio + idx)))) {
       if (side.result.witness && idx == 0 &&
-          job.budget.backend == sat::BackendKind::Native && share_cap == 0) {
+          job.budget.backend == sat::BackendKind::Native) {
         side.witness_text = bmc::witness_to_string(ts, *side.result.witness);
         side.bad_label = side.result.witness->bad_label;
         side.trace = std::make_shared<const WitnessTrace>(
@@ -279,15 +237,11 @@ JobResult run_job(const JobSpec& job,
     // calling thread, nothing is cancelled, and the claim arbitration is
     // by fixed order (BMC's counterexample first, else k-induction's
     // verdict) — which yields exactly the verdict fields the race
-    // produces, with fully reproducible work counters on top. Helper
-    // entrants (1..N-1, sharing only) go first so the vault is warm by
-    // the time entrant 0 — whose counters the job reports — runs.
-    for (unsigned e = 1; e < portfolio; ++e) bmc_prover(e, nullptr);
+    // produces, with fully reproducible work counters on top.
     bmc_prover(0, nullptr);
     if (bsides[0].found) {
       claim.store(0);
     } else if (with_kind && bsides[0].build_error.empty()) {
-      for (unsigned e = 1; e < portfolio; ++e) kind_prover(e, nullptr);
       kind_prover(0, nullptr);
       if (ksides[0].result.status != bmc::KInductionStatus::Unknown)
         claim.store(static_cast<int>(portfolio));
@@ -331,8 +285,7 @@ JobResult run_job(const JobSpec& job,
     r.verdict = Verdict::Falsified;
     r.winner = Prover::Bmc;
     r.trace_length = side.found->length;
-    if (who != 0 || job.budget.backend != sat::BackendKind::Native ||
-        share_cap != 0)
+    if (who != 0 || job.budget.backend != sat::BackendKind::Native)
       canonical_witness(job, side.found->length, cone_cache, &side);
     r.bad_label = side.bad_label;
     r.witness = side.witness_text;
@@ -348,9 +301,6 @@ JobResult run_job(const JobSpec& job,
     r.eliminated_vars = side.stats.eliminated_vars;
     r.subsumed_clauses = side.stats.subsumed_clauses;
     r.vivified_clauses = side.stats.vivified_clauses;
-    r.clauses_exported = side.stats.clauses_exported;
-    r.clauses_imported = side.stats.clauses_imported;
-    r.vault_hits = side.stats.vault_hits;
     r.loser_cancelled = any_loser_cancelled(who);
     if (job.budget.sequential_provers)
       tally_sequential_counters(bsides[0], ksides.empty() ? KindSide{} : ksides[0],
@@ -370,15 +320,11 @@ JobResult run_job(const JobSpec& job,
     r.eliminated_vars = side.result.eliminated_vars;
     r.subsumed_clauses = side.result.subsumed_clauses;
     r.vivified_clauses = side.result.vivified_clauses;
-    r.clauses_exported = side.result.clauses_exported;
-    r.clauses_imported = side.result.clauses_imported;
-    r.vault_hits = side.result.vault_hits;
     r.loser_cancelled = any_loser_cancelled(who);
     if (side.result.status == bmc::KInductionStatus::Falsified) {
       r.verdict = Verdict::Falsified;
       r.trace_length = side.result.witness ? side.result.witness->length : 0;
-      if ((idx != 0 || job.budget.backend != sat::BackendKind::Native ||
-           share_cap != 0) &&
+      if ((idx != 0 || job.budget.backend != sat::BackendKind::Native) &&
           side.result.witness) {
         BmcSide canon;
         canonical_witness(job, side.result.witness->length, cone_cache, &canon);
@@ -439,14 +385,6 @@ CampaignReport run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
   const std::shared_ptr<smt::ConeCache> cone_cache =
       options.cone_cache ? options.cone_cache : std::make_shared<smt::ConeCache>();
 
-  // Likewise one learnt-clause vault (sat/exchange.hpp): clauses learnt
-  // under a cone digest in one job seed every later job that blasts the
-  // same cone chain. Imports are implied clauses, so — like cone replay —
-  // this cannot perturb verdicts; it only shortcuts searches.
-  const std::shared_ptr<sat::ClauseVault> clause_vault =
-      options.clause_vault ? options.clause_vault
-                           : std::make_shared<sat::ClauseVault>();
-
   // Work queue: an atomic cursor over the job list. Each worker pops the
   // next index and runs the job in full isolation; results land in spec
   // order so the report is independent of scheduling.
@@ -460,7 +398,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
       if (fault::global_stop_requested()) return;
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= spec.jobs.size()) return;
-      report.jobs[i] = run_job(spec.jobs[i], cone_cache, clause_vault);
+      report.jobs[i] = run_job(spec.jobs[i], cone_cache);
       report.jobs[i].spec_index = i;
       // Witness post-pass before the completion hook, so checkpoint
       // journals and verdict caches only ever record checked rows.
@@ -596,9 +534,6 @@ std::string CampaignReport::to_json(bool include_timing) const {
       os << ", \"eliminated_vars\": " << j.eliminated_vars;
       os << ", \"subsumed_clauses\": " << j.subsumed_clauses;
       os << ", \"vivified_clauses\": " << j.vivified_clauses;
-      os << ", \"clauses_exported\": " << j.clauses_exported;
-      os << ", \"clauses_imported\": " << j.clauses_imported;
-      os << ", \"vault_hits\": " << j.vault_hits;
       os << ", \"sat_retries\": " << j.sat_retries;
       os << ", \"hit_memory_limit\": " << (j.hit_memory_limit ? "true" : "false");
       os << ", \"from_cache\": " << (j.from_cache ? "true" : "false");

@@ -123,18 +123,6 @@ struct JobBudget {
   /// Deterministic (the arena is a pure function of the clause stream),
   /// so it is part of the verdict-cache key and the spec digest.
   unsigned memory_limit_mb = 0;
-  /// Learnt-clause sharing (sat/exchange.hpp): 0 = off, N = export learnt
-  /// clauses with LBD <= N between portfolio entrants (intra-job) and
-  /// through the campaign clause vault (cross-job). Imported clauses are
-  /// always implied, so definite verdicts are sharing-invariant — and
-  /// stable JSON stays byte-identical because witnesses are re-derived by
-  /// an unshared canonical replay whenever sharing is on. Guard: sharing
-  /// is disabled per-job while conflict_budget or memory_limit_mb is set,
-  /// because an import can change *when* a budget trips, and in race mode
-  /// pool content is timing-dependent — the only path by which sharing
-  /// could perturb a pinned verdict. Part of the verdict-cache key and
-  /// the spec digest.
-  unsigned share_clauses = 0;
 };
 
 /// One verification job: a self-contained model builder plus budgets.
@@ -226,12 +214,6 @@ struct JobResult {
   /// backend failures by retrying (docs/ROBUSTNESS.md).
   bool hit_memory_limit = false;
   std::uint64_t sat_retries = 0;
-  /// Learnt-clause sharing traffic (same determinism caveats as the other
-  /// counters; zero with sharing off). In sequential mode only the vault
-  /// is active, so all three are bit-reproducible.
-  std::uint64_t clauses_exported = 0;
-  std::uint64_t clauses_imported = 0;
-  std::uint64_t vault_hits = 0;
   double seconds = 0.0;  // job wall time
 };
 
@@ -263,11 +245,6 @@ struct CampaignOptions {
   /// share blasted cones across *campaigns* in the same process (as
   /// bench/campaign_perf's warm run does).
   std::shared_ptr<smt::ConeCache> cone_cache;
-  /// Learnt-clause vault shared by every job (sat/exchange.hpp). Only
-  /// consulted by jobs whose budget sets share_clauses. When null,
-  /// run_campaign creates a fresh one per call — pass one explicitly to
-  /// share learnt clauses across campaigns in the same process.
-  std::shared_ptr<sat::ClauseVault> clause_vault;
 };
 
 struct CampaignReport {
@@ -317,12 +294,9 @@ struct CampaignReport {
 /// Run one job on the calling thread (racing its provers internally).
 /// `cone_cache` (may be null) is shared by every solver stack the job
 /// spins up — the portfolio entrants, both provers, and the canonical
-/// witness replay all hit the same store. `clause_vault` (may be null)
-/// is the cross-job learnt-clause store; it is only consulted when
-/// job.budget.share_clauses is set.
+/// witness replay all hit the same store.
 JobResult run_job(const JobSpec& job,
-                  const std::shared_ptr<smt::ConeCache>& cone_cache = nullptr,
-                  const std::shared_ptr<sat::ClauseVault>& clause_vault = nullptr);
+                  const std::shared_ptr<smt::ConeCache>& cone_cache = nullptr);
 
 /// Fan the campaign out over a worker pool and aggregate the report.
 CampaignReport run_campaign(const CampaignSpec& spec,

@@ -79,7 +79,6 @@ std::string spec_digest_of(const CampaignSpec& spec, const std::string& fingerpr
                  : 0);
     mix_byte(static_cast<unsigned char>(job.budget.backend));
     mix_u64(job.budget.memory_limit_mb);
-    mix_u64(job.budget.share_clauses);
   }
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));

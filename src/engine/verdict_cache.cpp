@@ -23,11 +23,10 @@ namespace {
 /// older binary become unreachable instead of misread. v2: the per-job
 /// memory ceiling (JobBudget::memory_limit_mb) joined the key — a
 /// memory-capped Unknown must never be replayed as an uncapped verdict
-/// (or vice versa). v3: the sharing width (JobBudget::share_clauses)
-/// joined the key — sharing never changes a verdict, but keeping the
-/// slots distinct keeps every cached row attributable to exactly one
-/// budget configuration.
-constexpr int kFormatVersion = 3;
+/// (or vice versa). v3: a learnt-clause sharing width joined the key.
+/// v4: that width left the key again with the sharing feature, so v3
+/// entries degrade to misses.
+constexpr int kFormatVersion = 4;
 
 std::uint64_t fnv1a(const char* data, std::size_t n,
                     std::uint64_t h = 1469598103934665603ull) {
@@ -187,9 +186,6 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   // The memory ceiling changes what a job can conclude (campaign.hpp), so
   // capped and uncapped runs must never share a cache slot.
   mix_u64(job.budget.memory_limit_mb);
-  // Sharing width: verdict-invariant, but a cached row should still be
-  // attributable to exactly one budget configuration.
-  mix_u64(job.budget.share_clauses);
   return hex16(h);
 }
 

@@ -54,6 +54,13 @@ expect_usage_error shard_range       -- --shard 4/4
 expect_usage_error portfolio_zero    -- --portfolio 0
 expect_usage_error portfolio_huge    -- --portfolio 99
 expect_usage_error unknown_flag      -- --frobnicate
+# The retired learnt-clause sharing flag is an unknown flag, not a no-op
+# (--list-bugs would exit 0 if the flag were still accepted).
+expect_usage_error retired_sharing_flag -- --share-clauses on --list-bugs
+if ! grep -q "unknown flag '--share-clauses'" "$WORK/retired_sharing_flag.stderr"; then
+  echo "FAIL: retired_sharing_flag: diagnostic does not name the unknown flag"
+  FAILURES=$((FAILURES + 1))
+fi
 expect_usage_error merge_no_inputs   -- merge
 expect_usage_error corpus_no_dir     -- corpus
 expect_usage_error corpus_two_dirs   -- corpus a b
@@ -234,11 +241,12 @@ else
 fi
 
 # A worker killed mid-shard (SIGKILL after its first journaled job, via
-# the claim-once fault token) is retried from its checkpoint journal and
-# the merged report is still byte-identical to the reference.
+# the claim-once worker.job_done:kill@token fault plan) is retried from
+# its checkpoint journal and the merged report is still byte-identical
+# to the reference.
 touch "$WORK/kill.token"
-if ! SEPE_RUN_KILL_TOKEN="$WORK/kill.token" "$SEPE_RUN" dispatch \
-    --workers 1 --shards 1 "${CAMPAIGN[@]}" \
+if ! SEPE_FAULT="point=worker.job_done:kill@token:$WORK/kill.token" \
+    "$SEPE_RUN" dispatch --workers 1 --shards 1 "${CAMPAIGN[@]}" \
     --json "$WORK/dispatched-kill.json" >/dev/null 2>"$WORK/dispatch-kill.log"; then
   echo "FAIL: dispatch run with a killed worker"
   cat "$WORK/dispatch-kill.log"
@@ -260,12 +268,13 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
-# A hung worker (claim-once hang token) is out-raced: its shard is
-# stolen from a journal snapshot by the idle worker, the straggler is
-# terminated, and the merge is still byte-identical.
+# A hung worker (claim-once worker.job_done:hang@token fault plan) is
+# out-raced: its shard is stolen from a journal snapshot by the idle
+# worker, the straggler is terminated, and the merge is still
+# byte-identical.
 touch "$WORK/hang.token"
-if ! SEPE_RUN_HANG_TOKEN="$WORK/hang.token" "$SEPE_RUN" dispatch \
-    --workers 2 --steal-after 0.2 "${CAMPAIGN[@]}" \
+if ! SEPE_FAULT="point=worker.job_done:hang@token:$WORK/hang.token" \
+    "$SEPE_RUN" dispatch --workers 2 --steal-after 0.2 "${CAMPAIGN[@]}" \
     --json "$WORK/dispatched-hang.json" >/dev/null 2>"$WORK/dispatch-hang.log"; then
   echo "FAIL: dispatch run with a hung worker"
   cat "$WORK/dispatch-hang.log"
@@ -281,33 +290,6 @@ elif cmp -s "$WORK/reference.json" "$WORK/dispatched-hang.json"; then
 else
   echo "FAIL: post-hang merged JSON differs from the unsharded reference:"
   diff "$WORK/reference.json" "$WORK/dispatched-hang.json"
-  FAILURES=$((FAILURES + 1))
-fi
-
-# The unified fault plan drives the same worker-kill drill: SEPE_FAULT's
-# worker.job_done:kill@token entry must behave exactly like the legacy
-# SEPE_RUN_KILL_TOKEN alias exercised above.
-touch "$WORK/kill2.token"
-if ! SEPE_FAULT="point=worker.job_done:kill@token:$WORK/kill2.token" \
-    "$SEPE_RUN" dispatch --workers 1 --shards 1 "${CAMPAIGN[@]}" \
-    --json "$WORK/dispatched-kill2.json" >/dev/null 2>"$WORK/dispatch-kill2.log"; then
-  echo "FAIL: dispatch run with a SEPE_FAULT-killed worker"
-  cat "$WORK/dispatch-kill2.log"
-  FAILURES=$((FAILURES + 1))
-fi
-if [ ! -e "$WORK/kill2.token.claimed" ]; then
-  echo "FAIL: no worker claimed the SEPE_FAULT kill token"
-  FAILURES=$((FAILURES + 1))
-elif ! grep -q "crashed (signal 9)" "$WORK/dispatch-kill2.log" \
-    || ! grep -q "resuming 1 journaled jobs" "$WORK/dispatch-kill2.log"; then
-  echo "FAIL: dispatcher log is missing the SEPE_FAULT crash/resume trail:"
-  cat "$WORK/dispatch-kill2.log"
-  FAILURES=$((FAILURES + 1))
-elif cmp -s "$WORK/reference.json" "$WORK/dispatched-kill2.json"; then
-  echo "ok: SEPE_FAULT worker kill matches the legacy token drill"
-else
-  echo "FAIL: post-SEPE_FAULT-kill merged JSON differs from the reference:"
-  diff "$WORK/reference.json" "$WORK/dispatched-kill2.json"
   FAILURES=$((FAILURES + 1))
 fi
 

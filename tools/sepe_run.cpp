@@ -121,12 +121,6 @@ void usage() {
       "  --memory-mb N    per-job SAT-arena memory ceiling in MiB (default none;\n"
       "                   deterministic — an over-budget job degrades to an\n"
       "                   UNKNOWN row diagnosed 'resource: memory')\n"
-      "  --share-clauses on|off|N\n"
-      "                   learnt-clause sharing between portfolio entrants and\n"
-      "                   across jobs (cone-digest vault); N = LBD export cap\n"
-      "                   (on = 8, default off). Verdicts and stable JSON are\n"
-      "                   sharing-invariant; auto-disabled under --conflicts\n"
-      "                   and --memory-mb (see docs/SOLVER.md)\n"
       "  --seed S         RNG seed recorded in the report (default 1)\n"
       "  --shard I/N      run only the deterministic shard I of N (0-based);\n"
       "                   the JSON report then carries shard metadata for merge\n"
@@ -278,7 +272,6 @@ struct CommonOptions {
   std::uint64_t seed = 1;
   double time_cap = 0.0;
   unsigned memory_mb = 0;
-  unsigned share_clauses = 0;
   bool witness_check = true;
   std::string witness_dir;
   std::string json_path;
@@ -296,7 +289,6 @@ struct CommonOptions {
     b.conflict_budget = conflicts;
     b.max_seconds = time_cap;
     b.memory_limit_mb = memory_mb;
-    b.share_clauses = share_clauses;
     b.portfolio = portfolio;
     b.plaisted_greenbaum = plaisted_greenbaum;
     b.backend = backend;
@@ -356,15 +348,6 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
     o->time_cap = parse_seconds_arg("--time-cap", next("--time-cap"));
   else if (!std::strcmp(argv[i], "--memory-mb"))
     o->memory_mb = parse_unsigned_arg("--memory-mb", next("--memory-mb"), 1);
-  else if (!std::strcmp(argv[i], "--share-clauses")) {
-    const char* v = next("--share-clauses");
-    if (!std::strcmp(v, "off"))
-      o->share_clauses = 0;
-    else if (!std::strcmp(v, "on"))
-      o->share_clauses = 8;
-    else
-      o->share_clauses = parse_unsigned_arg("--share-clauses", v, 1);
-  }
   else if (!std::strcmp(argv[i], "--seed"))
     o->seed = parse_u64_arg("--seed", next("--seed"));
   else if (!std::strcmp(argv[i], "--shard")) {
@@ -823,8 +806,7 @@ int main(int argc, char** argv) {
   // SIGTERM/SIGINT and exits 128+signal after flushing its journals.
   std::signal(SIGTERM, handle_terminate_signal);
   std::signal(SIGINT, handle_terminate_signal);
-  // Arm SEPE_FAULT (plus the legacy SEPE_RUN_KILL_TOKEN/HANG_TOKEN
-  // aliases) before any work happens; see docs/ROBUSTNESS.md.
+  // Arm SEPE_FAULT before any work happens; see docs/ROBUSTNESS.md.
   fault::init_from_environment();
 
   if (argc > 1 && !std::strcmp(argv[1], "merge")) return run_merge(argc, argv);
