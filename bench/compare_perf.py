@@ -8,6 +8,9 @@ work counters (conflicts / propagations / decisions, CNF sizes) are
 advisory: regressions beyond the threshold are reported loudly but exit 0,
 so a deliberate trade (e.g. more conflicts for less memory) can land with
 an updated baseline rather than a red CI. Wall time is ignored entirely.
+When every counter of every job and of the totals matches exactly, the
+report says so in one line (`counters: identical to baseline`), which is
+what a search-identical solver change must show.
 
 usage: compare_perf.py BASELINE.json CURRENT.json [--threshold 0.10]
 """
@@ -94,8 +97,9 @@ def main() -> int:
                 "verdict cache (advisory)"
             )
 
+    all_counters = COUNTERS + CACHE_COUNTERS + INPROC_COUNTERS + ROBUST_COUNTERS
     regressed = False
-    for counter in COUNTERS + CACHE_COUNTERS + INPROC_COUNTERS + ROBUST_COUNTERS:
+    for counter in all_counters:
         b, c = base["totals"].get(counter), cur["totals"].get(counter)
         if b is None or c is None:
             which = "baseline" if b is None else "current"
@@ -127,6 +131,18 @@ def main() -> int:
         )
     else:
         print("\nverdicts identical, counters within threshold")
+    drifted = [
+        name
+        for name in base_jobs
+        if any(base_jobs[name].get(c) != cur_jobs[name].get(c) for c in all_counters)
+    ]
+    if any(base["totals"].get(c) != cur["totals"].get(c) for c in all_counters):
+        drifted.append("totals")
+    if drifted:
+        print(f"counters: differ from baseline in {len(drifted)} of "
+              f"{len(base_jobs) + 1} rows (jobs and totals)")
+    else:
+        print("counters: identical to baseline")
     return 0
 
 

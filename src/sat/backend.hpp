@@ -57,12 +57,6 @@ class Lit {
 
 enum class Value : std::uint8_t { False = 0, True = 1, Unknown = 2 };
 
-inline Value operator^(Value v, bool sign) {
-  if (v == Value::Unknown) return v;
-  return static_cast<Value>(static_cast<std::uint8_t>(v) ^
-                            static_cast<std::uint8_t>(sign));
-}
-
 /// Result of a solve() call.
 enum class SolveResult { Sat, Unsat, Unknown /* resource limit hit */ };
 
@@ -120,7 +114,8 @@ class Backend {
   bool model_value(Lit l) const { return model_value(l.var()) ^ l.sign(); }
 
   /// After Unsat under assumptions: a (not necessarily minimal) subset of
-  /// the assumptions involved in the refutation.
+  /// the assumptions, as passed to solve(), that is unsatisfiable together
+  /// with the clauses.
   virtual const std::vector<Lit>& failed_assumptions() const = 0;
 
   /// Abort solve() with Unknown after this many conflicts (0 = no

@@ -230,7 +230,7 @@ bool DimacsBackend::solve_attempt(const std::vector<Lit>& assumptions,
     } else {
       // No core from the subprocess: report every assumption (a sound,
       // maximal over-approximation; callers treat cores as hints).
-      for (const Lit a : assumptions) core_.push_back(~a);
+      core_ = assumptions;
     }
     *result = SolveResult::Unsat;
     return true;

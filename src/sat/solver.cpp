@@ -11,6 +11,12 @@
 
 namespace sepe::sat {
 
+namespace {
+
+bool by_code(Lit a, Lit b) { return a.code() < b.code(); }
+
+}  // namespace
+
 std::string SolverConfig::to_string() const {
   char buf[336];
   int n = std::snprintf(buf, sizeof buf,
@@ -122,8 +128,9 @@ std::uint64_t Solver::next_random() {
 }
 
 int Solver::new_var() {
-  const int v = static_cast<int>(assigns_.size());
-  assigns_.push_back(Value::Unknown);
+  const int v = num_vars();
+  values_.push_back(Value::Unknown);
+  values_.push_back(Value::Unknown);
   model_.push_back(Value::False);
   saved_phase_.push_back(config_.phase_init_true ? Value::True : Value::False);
   level_.push_back(0);
@@ -138,7 +145,7 @@ int Solver::new_var() {
   return v;
 }
 
-Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& clause_lits, bool learnt) {
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> clause_lits, bool learnt) {
   const std::size_t bytes = sizeof(ClauseHeader) + clause_lits.size() * sizeof(Lit);
   // Keep 4-byte alignment of the arena.
   const std::size_t aligned = (bytes + 3) & ~std::size_t(3);
@@ -154,8 +161,9 @@ Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& clause_lits, bool
 
 void Solver::attach(ClauseRef ref) {
   const Lit* c = lits(ref);
-  watches_[(~c[0]).code()].push_back({ref, c[1]});
-  watches_[(~c[1]).code()].push_back({ref, c[0]});
+  const ClauseRef tagged = header(ref)->size == 2 ? ref | kBinaryBit : ref;
+  watches_[(~c[0]).code()].push_back({tagged, c[1]});
+  watches_[(~c[1]).code()].push_back({tagged, c[0]});
 }
 
 void Solver::detach(ClauseRef ref) {
@@ -163,7 +171,7 @@ void Solver::detach(ClauseRef ref) {
   for (Lit w : {~c[0], ~c[1]}) {
     auto& ws = watches_[w.code()];
     for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].ref == ref) {
+      if (ws[i].ref() == ref) {
         ws[i] = ws.back();
         ws.pop_back();
         break;
@@ -183,122 +191,141 @@ bool Solver::add_clause(std::vector<Lit> clause_lits) {
     if (eliminated(l.var())) reactivate(l.var());
   if (root_unsat_) return false;
 
-  // Normalize: sort, dedupe, drop false literals, detect tautology/sat.
-  std::sort(clause_lits.begin(), clause_lits.end(),
-            [](Lit a, Lit b) { return a.code() < b.code(); });
-  std::vector<Lit> out;
-  out.reserve(clause_lits.size());
+  // Normalize in place: sort, dedupe, drop false literals, detect
+  // tautology/sat.
+  std::sort(clause_lits.begin(), clause_lits.end(), by_code);
+  std::size_t kept = 0;
   Lit prev = Lit::from_code(-2);
-  for (Lit l : clause_lits) {
+  for (const Lit l : clause_lits) {
     if (l == prev) continue;
     if (l == ~prev) return true;  // tautology
     if (value(l) == Value::True) return true;
-    if (value(l) == Value::False) { prev = l; continue; }
-    out.push_back(l);
     prev = l;
+    if (value(l) == Value::False) continue;
+    clause_lits[kept++] = l;
   }
+  clause_lits.resize(kept);
 
-  if (out.empty()) {
+  if (clause_lits.empty()) {
     root_unsat_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    enqueue(out[0], kNullRef);
+  if (clause_lits.size() == 1) {
+    enqueue(clause_lits[0], kNullRef);
     if (propagate() != kNullRef) {
       root_unsat_ = true;
       return false;
     }
     return true;
   }
-  const ClauseRef ref = alloc_clause(out, /*learnt=*/false);
+  const ClauseRef ref = alloc_clause(clause_lits, /*learnt=*/false);
   clauses_.push_back(ref);
   attach(ref);
   return true;
 }
 
-void Solver::enqueue(Lit l, ClauseRef reason) {
-  assert(value(l) == Value::Unknown);
-  const int v = l.var();
-  assigns_[v] = l.sign() ? Value::False : Value::True;
-  level_[v] = decision_level();
-  reason_[v] = reason;
-  trail_.push_back(l);
-}
-
-Solver::ClauseRef Solver::propagate(bool problem_only) {
-  while (propagate_head_ < trail_.size()) {
+template <bool kProblemOnly>
+Solver::ClauseRef Solver::propagate_impl() {
+  ClauseRef confl = kNullRef;
+  while (confl == kNullRef && propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
+    const Lit not_p = ~p;
     ++stats_propagations_;
-    auto& ws = watches_[p.code()];
-    std::size_t i = 0, j = 0;
-    while (i < ws.size()) {
-      const Watcher w = ws[i];
-      if (value(w.blocker) == Value::True) {
-        ws[j++] = ws[i++];
+    std::vector<Watcher>& ws = watches_[p.code()];
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    while (i != end) {
+      const Watcher w = *i++;
+      const Value blocker_value = value(w.blocker);
+      if (blocker_value == Value::True) {
+        *j++ = w;
         continue;
       }
-      ClauseHeader* h = header(w.ref);
-      if (problem_only && h->lbd != 0) {
+      if (kProblemOnly && header(w.ref())->lbd != 0) {
         // Vivification proofs must not lean on learnt clauses: a learnt is
         // a consequence of the *original* formula, not of the current
         // (post-elimination) database, and reduce_learnts may drop it
         // later — a problem clause deleted on its strength would be gone
         // for good. Skipped watchers are left in place; the caller re-runs
         // a full propagation afterwards to restore their watch invariants.
-        ws[j++] = ws[i++];
+        *j++ = w;
         continue;
       }
-      Lit* c = lits(w.ref);
+      if (w.binary()) {
+        // The blocker of a binary clause is its other literal.
+        *j++ = w;
+        if (blocker_value == Value::False) {
+          // Conflict analysis reads the conflicting clause in this order.
+          Lit* c = lits(w.ref());
+          c[0] = w.blocker;
+          c[1] = not_p;
+          confl = w.ref();
+          break;
+        }
+        enqueue(w.blocker, w.ref());
+        continue;
+      }
+      const ClauseRef ref = w.ref();
+      Lit* c = lits(ref);
       // Ensure the false literal ~p is at position 1.
-      const Lit not_p = ~p;
       if (c[0] == not_p) std::swap(c[0], c[1]);
       assert(c[1] == not_p);
-      if (value(c[0]) == Value::True) {
-        ws[j++] = {w.ref, c[0]};
-        ++i;
+      const Lit first = c[0];
+      const Value first_value = value(first);
+      if (first_value == Value::True) {
+        *j++ = {w.tagged, first};
         continue;
       }
       // Look for a new watch.
+      const std::uint32_t size = header(ref)->size;
       bool found = false;
-      for (std::uint32_t k = 2; k < h->size; ++k) {
+      for (std::uint32_t k = 2; k < size; ++k) {
         if (value(c[k]) != Value::False) {
-          std::swap(c[1], c[k]);
-          watches_[(~c[1]).code()].push_back({w.ref, c[0]});
+          c[1] = c[k];
+          c[k] = not_p;
+          watches_[(~c[1]).code()].push_back({w.tagged, first});
           found = true;
           break;
         }
       }
-      if (found) {
-        ++i;  // watcher moved elsewhere; do not keep
-        continue;
-      }
+      if (found) continue;  // watcher moved elsewhere; do not keep
       // Clause is unit or conflicting.
-      if (value(c[0]) == Value::False) {
-        // Conflict: keep remaining watchers, return.
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
-        return w.ref;
+      if (first_value == Value::False) {
+        *j++ = w;
+        confl = ref;
+        break;
       }
-      enqueue(c[0], w.ref);
-      ws[j++] = {w.ref, c[0]};
-      ++i;
+      enqueue(first, ref);
+      *j++ = {w.tagged, first};
     }
-    ws.resize(j);
+    // After a conflict the unvisited watchers stay as they were.
+    while (i != end) *j++ = *i++;
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
   }
-  return kNullRef;
+  return confl;
+}
+
+const Lit* Solver::reason_lits(int var, std::uint32_t* size) {
+  const ClauseRef r = reason_[var];
+  Lit* c = lits(r);
+  *size = header(r)->size;
+  if (*size == 2 && c[0].var() != var) std::swap(c[0], c[1]);
+  return c;
 }
 
 std::uint32_t Solver::compute_lbd(const std::vector<Lit>& clause) {
   // LBD = number of distinct decision levels in the clause.
-  static thread_local std::vector<int> mark;
-  static thread_local int stamp = 0;
-  ++stamp;
+  if (++lbd_stamp_ == 0) {  // wrapped: forget every old stamp
+    std::fill(lbd_mark_.begin(), lbd_mark_.end(), 0);
+    lbd_stamp_ = 1;
+  }
   std::uint32_t lbd = 0;
   for (Lit l : clause) {
-    const int lev = level_[l.var()];
-    if (lev >= static_cast<int>(mark.size())) mark.resize(lev + 1, 0);
-    if (mark[lev] != stamp) {
-      mark[lev] = stamp;
+    const std::size_t lev = static_cast<std::size_t>(level_[l.var()]);
+    if (lev >= lbd_mark_.size()) lbd_mark_.resize(lev + 1, 0);
+    if (lbd_mark_[lev] != lbd_stamp_) {
+      lbd_mark_[lev] = lbd_stamp_;
       ++lbd;
     }
   }
@@ -337,13 +364,19 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
   do {
     assert(confl != kNullRef);
     bump_clause(confl);
-    const ClauseHeader* h = header(confl);
-    const Lit* c = lits(confl);
-    for (std::uint32_t k = first ? 0 : 1; k < h->size; ++k) {
+    std::uint32_t size;
+    const Lit* c;
+    if (first) {
+      c = lits(confl);
+      size = header(confl)->size;
+    } else {
+      c = reason_lits(p.var(), &size);
+    }
+    for (std::uint32_t k = first ? 0 : 1; k < size; ++k) {
       const Lit q = c[k];
       const int v = q.var();
       if (!seen_[v] && level_[v] > 0) {
-        seen_[v] = 1;
+        seen_[v] = kSeenSource;
         bump_var(v);
         if (level_[v] >= decision_level()) {
           ++counter;
@@ -356,27 +389,37 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
     while (!seen_[trail_[--index].var()]) {}
     p = trail_[index];
     confl = reason_[p.var()];
-    seen_[p.var()] = 0;
+    seen_[p.var()] = kSeenNone;
     --counter;
     first = false;
   } while (counter > 0);
   out_learnt[0] = ~p;
 
   // Clause minimization: drop literals implied by the rest of the clause.
-  // Remember every var marked seen_ so far: literals dropped below still
-  // need their marks cleared at the end (stale marks corrupt later calls).
+  // Every var marked so far, and every mark minimization adds, is cleared
+  // at the end (stale marks corrupt later calls).
   analyze_toclear_.clear();
   for (Lit l : out_learnt) analyze_toclear_.push_back(l.var());
+  if (level_lits_.size() <= static_cast<std::size_t>(decision_level()))
+    level_lits_.resize(decision_level() + 1, 0);
   std::uint32_t abstract_levels = 0;
-  for (std::size_t k = 1; k < out_learnt.size(); ++k)
-    abstract_levels |= 1u << (level_[out_learnt[k].var()] & 31);
+  for (std::size_t k = 1; k < out_learnt.size(); ++k) {
+    const int lev = level_[out_learnt[k].var()];
+    abstract_levels |= 1u << (lev & 31);
+    ++level_lits_[lev];
+  }
   std::size_t keep = 1;
   for (std::size_t k = 1; k < out_learnt.size(); ++k) {
-    if (reason_[out_learnt[k].var()] == kNullRef ||
-        !literal_redundant(out_learnt[k], abstract_levels)) {
-      out_learnt[keep++] = out_learnt[k];
+    const Lit l = out_learnt[k];
+    // A literal alone on its level can only reach that level's decision,
+    // which is not in the clause: it is never redundant.
+    if (reason_[l.var()] == kNullRef || level_lits_[level_[l.var()]] == 1 ||
+        !literal_redundant(l, abstract_levels)) {
+      out_learnt[keep++] = l;
     }
   }
+  for (std::size_t k = 1; k < out_learnt.size(); ++k)
+    level_lits_[level_[out_learnt[k].var()]] = 0;
   out_learnt.resize(keep);
 
   // Find backtrack level: the second-highest level in the clause.
@@ -390,43 +433,55 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
   }
   out_lbd = compute_lbd(out_learnt);
 
-  for (int v : analyze_toclear_) seen_[v] = 0;
-  for (int v : minimize_marked_) seen_[v] = 0;
-  minimize_marked_.clear();
+  for (int v : analyze_toclear_) seen_[v] = kSeenNone;
 }
 
 bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
-  analyze_stack_.clear();
-  analyze_stack_.push_back(l);
-  std::vector<int> to_clear;
-  while (!analyze_stack_.empty()) {
-    const Lit q = analyze_stack_.back();
-    analyze_stack_.pop_back();
-    const ClauseRef r = reason_[q.var()];
-    if (r == kNullRef) {
-      for (int v : to_clear) seen_[v] = 0;
-      return false;
-    }
-    const ClauseHeader* h = header(r);
-    const Lit* c = lits(r);
-    for (std::uint32_t k = 1; k < h->size; ++k) {
-      const Lit p = c[k];
-      const int v = p.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      if (reason_[v] == kNullRef || !((1u << (level_[v] & 31)) & abstract_levels)) {
-        for (int u : to_clear) seen_[u] = 0;
+  // Depth-first walk of the implication graph back from `l`: `l` is
+  // redundant when every path ends in a clause literal, a root-level
+  // literal or a literal already shown removable. A decision, a literal
+  // on a level the clause does not mention, or a poisoned literal ends the
+  // walk, and every literal on the current path is poisoned (it reaches
+  // that failure too). Finished literals are marked removable. The marks
+  // do not change the answer for any literal: a removable literal stops a
+  // walk exactly where continuing it would have succeeded.
+  minimize_stack_.clear();
+  Lit p = l;
+  std::uint32_t size;
+  const Lit* c = reason_lits(p.var(), &size);
+  for (std::uint32_t i = 1;;) {
+    if (i < size) {
+      const Lit q = c[i++];
+      const int v = q.var();
+      const std::uint8_t mark = seen_[v];
+      if (mark == kSeenSource || mark == kSeenRemovable || level_[v] == 0) continue;
+      if (mark == kSeenPoison || reason_[v] == kNullRef ||
+          !((1u << (level_[v] & 31)) & abstract_levels)) {
+        minimize_stack_.push_back({p, i});
+        for (const MinimizeFrame& f : minimize_stack_) {
+          if (seen_[f.lit.var()] == kSeenNone) {
+            seen_[f.lit.var()] = kSeenPoison;
+            analyze_toclear_.push_back(f.lit.var());
+          }
+        }
         return false;
       }
-      seen_[v] = 1;
-      to_clear.push_back(v);
-      analyze_stack_.push_back(p);
+      minimize_stack_.push_back({p, i});
+      p = q;
+      c = reason_lits(v, &size);
+      i = 1;
+    } else {
+      if (seen_[p.var()] == kSeenNone) {
+        seen_[p.var()] = kSeenRemovable;
+        analyze_toclear_.push_back(p.var());
+      }
+      if (minimize_stack_.empty()) return true;
+      p = minimize_stack_.back().lit;
+      i = minimize_stack_.back().next;
+      minimize_stack_.pop_back();
+      c = reason_lits(p.var(), &size);
     }
   }
-  // Redundant: keep the marks so sibling redundancy checks can reuse them;
-  // they are recorded in minimize_marked_ and cleared at the end of
-  // analyze() together with the clause's own marks.
-  minimize_marked_.insert(minimize_marked_.end(), to_clear.begin(), to_clear.end());
-  return true;
 }
 
 void Solver::analyze_final(Lit p) {
@@ -434,21 +489,21 @@ void Solver::analyze_final(Lit p) {
   conflict_core_.clear();
   conflict_core_.push_back(~p);
   if (decision_level() == 0) return;
-  seen_[p.var()] = 1;
+  seen_[p.var()] = kSeenSource;
   for (std::size_t i = trail_.size(); i-- > static_cast<std::size_t>(trail_lim_[0]);) {
     const int v = trail_[i].var();
     if (!seen_[v]) continue;
     if (reason_[v] == kNullRef) {
-      if (v != p.var()) conflict_core_.push_back(~trail_[i]);
+      conflict_core_.push_back(trail_[i]);
     } else {
-      const ClauseHeader* h = header(reason_[v]);
-      const Lit* c = lits(reason_[v]);
-      for (std::uint32_t k = 1; k < h->size; ++k)
-        if (level_[c[k].var()] > 0) seen_[c[k].var()] = 1;
+      std::uint32_t size;
+      const Lit* c = reason_lits(v, &size);
+      for (std::uint32_t k = 1; k < size; ++k)
+        if (level_[c[k].var()] > 0) seen_[c[k].var()] = kSeenSource;
     }
-    seen_[v] = 0;
+    seen_[v] = kSeenNone;
   }
-  seen_[p.var()] = 0;
+  seen_[p.var()] = kSeenNone;
 }
 
 void Solver::backtrack(int target) {
@@ -456,8 +511,9 @@ void Solver::backtrack(int target) {
   for (std::size_t i = trail_.size();
        i-- > static_cast<std::size_t>(trail_lim_[target]);) {
     const int v = trail_[i].var();
-    saved_phase_[v] = assigns_[v];
-    assigns_[v] = Value::Unknown;
+    saved_phase_[v] = values_[2 * v];
+    values_[2 * v] = Value::Unknown;
+    values_[2 * v + 1] = Value::Unknown;
     reason_[v] = kNullRef;
     if (!heap_contains(v)) heap_insert(v);
   }
@@ -470,9 +526,9 @@ Lit Solver::pick_branch() {
   // Portfolio diversity: every Nth decision branches on a pseudo-random
   // unassigned variable instead of the VSIDS top. Deterministic (seeded);
   // falls through to VSIDS when the drawn variable is already assigned.
-  if (config_.random_branch_freq != 0 && !assigns_.empty() &&
+  if (config_.random_branch_freq != 0 && num_vars() != 0 &&
       (stats_decisions_ + 1) % config_.random_branch_freq == 0) {
-    const int v = static_cast<int>(next_random() % assigns_.size());
+    const int v = static_cast<int>(next_random() % (values_.size() / 2));
     if (value(v) == Value::Unknown && !eliminated(v)) {
       ++stats_decisions_;
       return Lit(v, saved_phase_[v] == Value::False);
@@ -525,9 +581,13 @@ void Solver::reduce_learnts() {
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const ClauseRef r = sorted[i];
     // Never drop clauses that are reasons for current assignments or glue.
-    bool locked = false;
-    const Lit first = lits(r)[0];
-    if (value(first) == Value::True && reason_[first.var()] == r) locked = true;
+    // A long reason has its implied literal first; a binary one may have
+    // it in either position.
+    const Lit* c = lits(r);
+    const auto implies = [&](Lit l) {
+      return value(l) == Value::True && reason_[l.var()] == r;
+    };
+    const bool locked = implies(c[0]) || (header(r)->size == 2 && implies(c[1]));
     if (i < keep_count || header(r)->lbd <= 3 || locked) {
       kept.push_back(r);
     } else {
@@ -567,8 +627,7 @@ namespace {
 /// that negated literal's code in `big` (self-subsuming resolution), or
 /// -1 when `small` subsumes `big` outright. The flipped code is reported
 /// out-of-band because code 0 is a valid literal (variable 0, positive).
-bool subsume_check(const std::vector<Lit>& small, const std::vector<Lit>& big,
-                   int* flipped) {
+bool subsume_check(std::span<const Lit> small, std::span<const Lit> big, int* flipped) {
   *flipped = -1;
   std::size_t i = 0, j = 0;
   while (i < small.size()) {
@@ -593,68 +652,66 @@ bool subsume_check(const std::vector<Lit>& small, const std::vector<Lit>& big,
 
 }  // namespace
 
+void Solver::build_occurrences() {
+  ip_occ_.resize(values_.size());
+  for (auto& occ : ip_occ_) occ.clear();
+  for (std::size_t i = 0; i < ip_problem_.size(); ++i)
+    for (const Lit l : copied(ip_problem_[i]))
+      ip_occ_[l.code()].push_back(static_cast<std::uint32_t>(i));
+}
+
 void Solver::inprocess(const std::vector<Lit>& assumptions) {
   assert(decision_level() == 0);
   // Root assignments need no reasons from here on; clearing them lets the
   // arena be rebuilt without dangling clause references.
   for (Lit l : trail_) reason_[l.var()] = kNullRef;
 
-  std::vector<std::uint8_t> frozen(assigns_.size(), 0);
+  std::vector<std::uint8_t> frozen(num_vars(), 0);
   for (Lit a : assumptions) frozen[a.var()] = 1;
 
   // 1. Copy-out. Surviving clauses have >= 2 unassigned literals
-  // (propagation is complete), sorted by code.
-  std::vector<std::vector<Lit>> problem;
-  problem.reserve(clauses_.size());
+  // (propagation is complete); problem clauses are sorted by code.
+  ip_lits_.clear();
+  ip_problem_.clear();
+  ip_learnts_.clear();
+  const auto copy_out = [this](ClauseRef ref, std::vector<CopiedClause>* out) {
+    const ClauseHeader* h = header(ref);
+    const Lit* c = lits(ref);
+    const auto begin = static_cast<std::uint32_t>(ip_lits_.size());
+    for (std::uint32_t k = 0; k < h->size; ++k) {
+      const Value v = value(c[k]);
+      if (v == Value::True) {
+        ip_lits_.resize(begin);
+        return false;
+      }
+      if (v == Value::Unknown) ip_lits_.push_back(c[k]);
+    }
+    out->push_back({begin, static_cast<std::uint32_t>(ip_lits_.size()) - begin, h->lbd});
+    assert(out->back().size >= 2);
+    return true;
+  };
   for (const ClauseRef ref : clauses_) {
-    const ClauseHeader* h = header(ref);
-    const Lit* c = lits(ref);
-    std::vector<Lit> out;
-    out.reserve(h->size);
-    bool satisfied = false;
-    for (std::uint32_t k = 0; k < h->size && !satisfied; ++k) {
-      if (value(c[k]) == Value::True) satisfied = true;
-      else if (value(c[k]) == Value::Unknown) out.push_back(c[k]);
-    }
-    if (satisfied) continue;
-    assert(out.size() >= 2);
-    std::sort(out.begin(), out.end(), [](Lit a, Lit b) { return a.code() < b.code(); });
-    problem.push_back(std::move(out));
+    if (!copy_out(ref, &ip_problem_)) continue;
+    const std::span<Lit> c = copied(ip_problem_.back());
+    std::sort(c.begin(), c.end(), by_code);
   }
-  std::vector<std::pair<std::vector<Lit>, std::uint32_t>> learnt_db;
-  learnt_db.reserve(learnts_.size());
-  for (const ClauseRef ref : learnts_) {
-    const ClauseHeader* h = header(ref);
-    const Lit* c = lits(ref);
-    std::vector<Lit> out;
-    out.reserve(h->size);
-    bool satisfied = false;
-    for (std::uint32_t k = 0; k < h->size && !satisfied; ++k) {
-      if (value(c[k]) == Value::True) satisfied = true;
-      else if (value(c[k]) == Value::Unknown) out.push_back(c[k]);
-    }
-    if (satisfied) continue;
-    assert(out.size() >= 2);
-    learnt_db.emplace_back(std::move(out), h->lbd);
-  }
+  for (const ClauseRef ref : learnts_) copy_out(ref, &ip_learnts_);
 
   // 2. Forward subsumption + self-subsuming resolution over the problem
   // clauses, driven by occurrence lists of the least-frequent literal.
-  std::vector<std::uint8_t> alive(problem.size(), 1);
   {
-    std::vector<std::vector<std::uint32_t>> occ(2 * assigns_.size());
-    for (std::size_t i = 0; i < problem.size(); ++i)
-      for (Lit l : problem[i]) occ[l.code()].push_back(static_cast<std::uint32_t>(i));
+    std::vector<std::uint8_t> alive(ip_problem_.size(), 1);
+    build_occurrences();
     constexpr std::size_t kOccSkip = 64;  // skip super-frequent pivot literals
-    for (std::size_t i = 0; i < problem.size(); ++i) {
+    for (std::size_t i = 0; i < ip_problem_.size(); ++i) {
       if (!alive[i]) continue;
-      const std::vector<Lit>& c = problem[i];
+      const std::span<const Lit> c = copied(ip_problem_[i]);
       // Pivot on the literal with the fewest occurrences; a flipped pivot
       // also finds the self-subsumption cases on the pivot literal.
-      std::size_t best = occ[c[0].code()].size();
+      std::size_t best = ip_occ_[c[0].code()].size();
       Lit pivot = c[0];
       for (Lit l : c) {
-        const std::size_t n = occ[l.code()].size();
+        const std::size_t n = ip_occ_[l.code()].size();
         if (n < best) {
           best = n;
           pivot = l;
@@ -663,12 +720,12 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
       if (best > kOccSkip) continue;
       for (int side = 0; side < 2; ++side) {
         const Lit probe = side == 0 ? pivot : ~pivot;
-        for (const std::uint32_t j : occ[probe.code()]) {
+        for (const std::uint32_t j : ip_occ_[probe.code()]) {
           if (j == i || !alive[j]) continue;
-          std::vector<Lit>& d = problem[j];
-          if (d.size() < c.size()) continue;
+          CopiedClause& d = ip_problem_[j];
+          if (d.size < c.size()) continue;
           int flipped_code;
-          if (!subsume_check(c, d, &flipped_code)) continue;
+          if (!subsume_check(c, copied(d), &flipped_code)) continue;
           if (flipped_code < 0) {
             // c subsumes d outright.
             alive[j] = 0;
@@ -678,26 +735,27 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
             // from d. occ entries for d go stale; the alive/membership
             // checks above tolerate that.
             const Lit flipped = Lit::from_code(flipped_code);
-            d.erase(std::remove(d.begin(), d.end(), flipped), d.end());
+            const std::span<Lit> dl = copied(d);
+            const auto last = std::remove(dl.begin(), dl.end(), flipped);
+            d.size = static_cast<std::uint32_t>(last - dl.begin());
             ++stats_subsumed_clauses_;
-            if (d.size() <= 1) alive[j] = 0;  // re-added as a unit below
+            if (d.size <= 1) alive[j] = 0;  // re-added as a unit below
           }
         }
       }
     }
-    // Units produced by strengthening: queue them for the fixpoint pass.
-    std::vector<std::vector<Lit>> compacted;
-    compacted.reserve(problem.size());
-    std::vector<std::vector<Lit>> units;
-    for (std::size_t i = 0; i < problem.size(); ++i) {
+    // Units produced by strengthening go last, for the fixpoint pass.
+    std::vector<CopiedClause> units;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < ip_problem_.size(); ++i) {
       if (alive[i]) {
-        compacted.push_back(std::move(problem[i]));
-      } else if (problem[i].size() == 1) {
-        units.push_back(std::move(problem[i]));
+        ip_problem_[kept++] = ip_problem_[i];
+      } else if (ip_problem_[i].size == 1) {
+        units.push_back(ip_problem_[i]);
       }
     }
-    problem = std::move(compacted);
-    for (auto& u : units) problem.push_back(std::move(u));
+    ip_problem_.resize(kept);
+    ip_problem_.insert(ip_problem_.end(), units.begin(), units.end());
   }
 
   // 3. Bounded variable elimination. A candidate variable must be
@@ -705,21 +763,21 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
   // each polarity; elimination must not grow the clause count.
   if (config_.bve_occurrence_limit != 0 && !root_unsat_) {
     constexpr std::size_t kMaxResolventLits = 24;
-    std::vector<std::vector<std::uint32_t>> occ(2 * assigns_.size());
-    for (std::size_t i = 0; i < problem.size(); ++i)
-      for (Lit l : problem[i]) occ[l.code()].push_back(static_cast<std::uint32_t>(i));
-    std::vector<std::uint8_t> live(problem.size(), 1);
+    build_occurrences();
+    std::vector<std::uint8_t> live(ip_problem_.size(), 1);
     const auto gather = [&](Lit l, std::vector<std::uint32_t>* out) {
       out->clear();
-      for (const std::uint32_t i : occ[l.code()]) {
+      for (const std::uint32_t i : ip_occ_[l.code()]) {
         if (!live[i]) continue;
-        if (std::find(problem[i].begin(), problem[i].end(), l) == problem[i].end())
+        const std::span<const Lit> c = copied(ip_problem_[i]);
+        if (std::find(c.begin(), c.end(), l) == c.end())
           continue;  // stale entry (clause strengthened elsewhere)
         out->push_back(i);
       }
     };
     std::vector<std::uint32_t> pos, neg;
-    for (int v = 0; v < static_cast<int>(assigns_.size()); ++v) {
+    std::vector<CopiedClause> resolvents;
+    for (int v = 0; v < num_vars(); ++v) {
       if (frozen[v] || eliminated(v) || value(v) != Value::Unknown) continue;
       const Lit pl(v, false), nl(v, true);
       gather(pl, &pos);
@@ -728,31 +786,42 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
       if (pos.size() > config_.bve_occurrence_limit ||
           neg.size() > config_.bve_occurrence_limit)
         continue;
-      // Build the resolvents; give up on growth.
-      std::vector<std::vector<Lit>> resolvents;
+      // Build the resolvents at the end of the literal buffer (indices,
+      // not pointers: the buffer may grow); give up on growth.
+      const std::size_t lits_mark = ip_lits_.size();
+      resolvents.clear();
       bool aborted = false;
       for (const std::uint32_t pi : pos) {
         for (const std::uint32_t ni : neg) {
-          std::vector<Lit> r;
+          const auto r_begin = static_cast<std::uint32_t>(ip_lits_.size());
+          const CopiedClause pc = ip_problem_[pi], nc = ip_problem_[ni];
           bool tautology = false;
-          for (Lit l : problem[pi])
-            if (l != pl) r.push_back(l);
-          for (Lit l : problem[ni]) {
+          for (std::uint32_t k = pc.begin; k < pc.begin + pc.size; ++k) {
+            const Lit l = ip_lits_[k];
+            if (l != pl) ip_lits_.push_back(l);
+          }
+          for (std::uint32_t k = nc.begin; k < nc.begin + nc.size; ++k) {
+            const Lit l = ip_lits_[k];
             if (l == nl) continue;
-            if (std::find(r.begin(), r.end(), ~l) != r.end()) {
+            const auto r_first = ip_lits_.begin() + r_begin;
+            if (std::find(r_first, ip_lits_.end(), ~l) != ip_lits_.end()) {
               tautology = true;
               break;
             }
-            if (std::find(r.begin(), r.end(), l) == r.end()) r.push_back(l);
+            if (std::find(r_first, ip_lits_.end(), l) == ip_lits_.end())
+              ip_lits_.push_back(l);
           }
-          if (tautology) continue;
-          if (r.size() > kMaxResolventLits) {
+          if (tautology) {
+            ip_lits_.resize(r_begin);
+            continue;
+          }
+          const auto r_size = static_cast<std::uint32_t>(ip_lits_.size()) - r_begin;
+          if (r_size > kMaxResolventLits) {
             aborted = true;
             break;
           }
-          std::sort(r.begin(), r.end(),
-                    [](Lit a, Lit b) { return a.code() < b.code(); });
-          resolvents.push_back(std::move(r));
+          std::sort(ip_lits_.begin() + r_begin, ip_lits_.end(), by_code);
+          resolvents.push_back({r_begin, r_size, 0});
           if (resolvents.size() > pos.size() + neg.size()) {
             aborted = true;
             break;
@@ -760,89 +829,94 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
         }
         if (aborted) break;
       }
-      if (aborted) continue;
+      if (aborted) {
+        ip_lits_.resize(lits_mark);
+        continue;
+      }
       // Commit: record the removed clauses for model repair and
       // reactivation, splice in the resolvents.
       ElimRecord record;
       record.var = v;
-      for (const std::uint32_t i : pos) {
-        record.clauses.push_back(problem[i]);
-        live[i] = 0;
-      }
-      for (const std::uint32_t i : neg) {
-        record.clauses.push_back(problem[i]);
-        live[i] = 0;
+      for (const std::vector<std::uint32_t>* side : {&pos, &neg}) {
+        for (const std::uint32_t i : *side) {
+          const std::span<const Lit> c = copied(ip_problem_[i]);
+          record.clauses.emplace_back(c.begin(), c.end());
+          live[i] = 0;
+        }
       }
       elim_stack_.push_back(std::move(record));
       eliminated_[v] = 1;
       ++stats_eliminated_vars_;
-      for (auto& r : resolvents) {
-        const std::uint32_t idx = static_cast<std::uint32_t>(problem.size());
-        for (Lit l : r) occ[l.code()].push_back(idx);
-        problem.push_back(std::move(r));
+      for (const CopiedClause& r : resolvents) {
+        const auto idx = static_cast<std::uint32_t>(ip_problem_.size());
+        for (Lit l : copied(r)) ip_occ_[l.code()].push_back(idx);
+        ip_problem_.push_back(r);
         live.push_back(1);
       }
     }
-    std::vector<std::vector<Lit>> compacted;
-    compacted.reserve(problem.size());
-    for (std::size_t i = 0; i < problem.size(); ++i)
-      if (live[i]) compacted.push_back(std::move(problem[i]));
-    problem = std::move(compacted);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < ip_problem_.size(); ++i)
+      if (live[i]) ip_problem_[kept++] = ip_problem_[i];
+    ip_problem_.resize(kept);
     // Learnt clauses over an eliminated variable are dropped (they are
     // implied; keeping them would resurrect the variable).
-    std::erase_if(learnt_db, [this](const auto& entry) {
-      for (Lit l : entry.first)
+    std::erase_if(ip_learnts_, [this](const CopiedClause& c) {
+      for (Lit l : copied(c))
         if (eliminated(l.var())) return true;
       return false;
     });
   }
 
   // 4. Unit fixpoint: apply units produced above at the root level until
-  // the vector database is stable. A contradiction makes the solver
+  // the copied database is stable. A contradiction makes the solver
   // root-unsat (the arena is left untouched in that case — it is never
   // consulted again).
+  const auto simplify_one = [this](CopiedClause& cc) -> int {
+    // Returns -1 drop clause, 0 keep, 1 clause changed (re-check).
+    const std::span<Lit> c = copied(cc);
+    std::uint32_t keep = 0;
+    for (const Lit l : c) {
+      if (value(l) == Value::True) return -1;
+      if (value(l) == Value::Unknown) c[keep++] = l;
+    }
+    const bool shrunk = keep != cc.size;
+    cc.size = keep;
+    if (keep == 0) {
+      root_unsat_ = true;
+      return -1;
+    }
+    if (keep == 1) {
+      enqueue(c[0], kNullRef);
+      return -1;  // absorbed into the trail
+    }
+    return shrunk ? 1 : 0;
+  };
   for (bool changed = true; changed && !root_unsat_;) {
     changed = false;
-    const auto simplify_one = [&](std::vector<Lit>& c) -> int {
-      // Returns -1 drop clause, 0 keep, 1 clause changed (re-check).
-      std::size_t keep = 0;
-      for (const Lit l : c) {
-        if (value(l) == Value::True) return -1;
-        if (value(l) == Value::Unknown) c[keep++] = l;
-      }
-      const bool shrunk = keep != c.size();
-      c.resize(keep);
-      if (c.empty()) {
-        root_unsat_ = true;
-        return -1;
-      }
-      if (c.size() == 1) {
-        enqueue(c[0], kNullRef);
-        return -1;  // absorbed into the trail
-      }
-      return shrunk ? 1 : 0;
-    };
-    std::vector<std::vector<Lit>> next;
-    next.reserve(problem.size());
-    for (auto& c : problem) {
-      const int r = simplify_one(c);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < ip_problem_.size(); ++i) {
+      const int r = simplify_one(ip_problem_[i]);
       if (root_unsat_) break;
-      if (r >= 0) next.push_back(std::move(c));
+      if (r >= 0) ip_problem_[kept++] = ip_problem_[i];
       if (r != 0) changed = true;
     }
-    problem = std::move(next);
     if (root_unsat_) break;
-    std::erase_if(learnt_db, [&](auto& entry) {
-      if (root_unsat_) return false;
-      const int r = simplify_one(entry.first);
-      if (r != 0) changed = true;
-      return r < 0;
-    });
+    ip_problem_.resize(kept);
+    kept = 0;
+    for (std::size_t i = 0; i < ip_learnts_.size(); ++i) {
+      if (!root_unsat_) {
+        const int r = simplify_one(ip_learnts_[i]);
+        if (r != 0) changed = true;
+        if (r < 0) continue;
+      }
+      ip_learnts_[kept++] = ip_learnts_[i];
+    }
+    ip_learnts_.resize(kept);
   }
   if (root_unsat_) return;
 
   // 5. Rebuild the arena compactly and re-anchor propagation.
-  rebuild_clause_db(problem, learnt_db);
+  rebuild_clause_db();
   propagate_head_ = 0;
   if (propagate() != kNullRef) {
     root_unsat_ = true;
@@ -861,21 +935,19 @@ void Solver::inprocess(const std::vector<Lit>& assumptions) {
   }
 }
 
-void Solver::rebuild_clause_db(
-    const std::vector<std::vector<Lit>>& problem,
-    const std::vector<std::pair<std::vector<Lit>, std::uint32_t>>& learnts) {
+void Solver::rebuild_clause_db() {
   arena_.clear();
   clauses_.clear();
   learnts_.clear();
   for (auto& ws : watches_) ws.clear();
-  for (const auto& c : problem) {
-    const ClauseRef ref = alloc_clause(c, /*learnt=*/false);
+  for (const CopiedClause& c : ip_problem_) {
+    const ClauseRef ref = alloc_clause(copied(c), /*learnt=*/false);
     clauses_.push_back(ref);
     attach(ref);
   }
-  for (const auto& [c, lbd] : learnts) {
-    const ClauseRef ref = alloc_clause(c, /*learnt=*/true);
-    header(ref)->lbd = lbd;
+  for (const CopiedClause& c : ip_learnts_) {
+    const ClauseRef ref = alloc_clause(copied(c), /*learnt=*/true);
+    header(ref)->lbd = c.lbd;
     learnts_.push_back(ref);
     attach(ref);
   }
@@ -915,7 +987,7 @@ void Solver::vivify_round() {
       keep.push_back(l);
       trail_lim_.push_back(static_cast<int>(trail_.size()));
       enqueue(~l, kNullRef);
-      if (propagate(/*problem_only=*/true) != kNullRef) {
+      if (propagate_problem_only() != kNullRef) {
         conflicted = true;  // the kept prefix alone is contradictory
         break;
       }
@@ -944,7 +1016,7 @@ void Solver::vivify_round() {
       }
       if (value(keep[0]) == Value::Unknown) {
         enqueue(keep[0], kNullRef);
-        if (propagate(/*problem_only=*/true) != kNullRef) {
+        if (propagate_problem_only() != kNullRef) {
           root_unsat_ = true;
           return;
         }
@@ -1075,20 +1147,9 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
         conflict_core_.clear();
         return SolveResult::Unsat;
       }
-      // If the conflict is at or below the assumption prefix, the
-      // assumptions are responsible.
       int btlevel;
       std::uint32_t lbd;
       analyze(confl, learnt, btlevel, lbd);
-      if (decision_level() <= static_cast<int>(assumptions.size()) &&
-          btlevel < static_cast<int>(assumptions.size())) {
-        // The learnt clause is falsified within the assumption prefix if
-        // all its literals are assumption-level: derive the core from the
-        // asserting literal's complement.
-        // Simplest sound approach: if after backtracking the asserting
-        // literal conflicts with an assumption, analyze_final handles it
-        // in the decision loop below.
-      }
       backtrack(btlevel);
       if (learnt.size() == 1) {
         if (value(learnt[0]) == Value::Unknown) {
@@ -1176,7 +1237,7 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
       if (next == Lit()) {
         // Full assignment: record the model, then extend it over
         // eliminated variables from their saved clauses.
-        model_ = assigns_;
+        for (int v = 0; v < num_vars(); ++v) model_[v] = value(v);
         backtrack(0);
         repair_model();
         return SolveResult::Sat;

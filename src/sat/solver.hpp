@@ -6,8 +6,9 @@
 // solves unrolled transition systems on it — all through the abstract
 // sat::Backend seam (backend.hpp).
 //
-// Features: two-watched-literal propagation, first-UIP conflict analysis
-// with clause minimization, VSIDS branching with exponential decay, phase
+// Features: two-watched-literal propagation (binary clauses settled from
+// the watcher alone), first-UIP conflict analysis with recursive clause
+// minimization, VSIDS branching with exponential decay, phase
 // saving, Luby restarts, LBD-based learnt-clause reduction, solving under
 // assumptions (the incremental interface CEGIS relies on), and bounded
 // inprocessing between restarts (variable elimination, subsumption,
@@ -15,9 +16,11 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,7 +107,7 @@ class Solver final : public Backend {
   std::string name() const override { return "native"; }
 
   int new_var() override;
-  int num_vars() const override { return static_cast<int>(assigns_.size()); }
+  int num_vars() const override { return static_cast<int>(values_.size() / 2); }
 
   using Backend::add_clause;
   bool add_clause(std::vector<Lit> lits) override;
@@ -132,9 +135,11 @@ class Solver final : public Backend {
   bool out_of_memory() const override { return hit_memory_limit_; }
 
  private:
-  // Clauses live in an arena; a ClauseRef is an offset into it.
+  // Clauses live in an arena; a ClauseRef is an offset into it. Clause
+  // allocations are 4-byte aligned, so the low bit of an offset is free.
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNullRef = std::numeric_limits<ClauseRef>::max();
+  static constexpr ClauseRef kBinaryBit = 1;
 
   struct ClauseHeader {
     std::uint32_t size;
@@ -144,8 +149,10 @@ class Solver final : public Backend {
   };
 
   struct Watcher {
-    ClauseRef ref;
-    Lit blocker;  // quick check to skip clause traversal
+    ClauseRef tagged;  // clause offset, | kBinaryBit for a binary clause
+    Lit blocker;       // binary: the other literal; else a quick satisfied check
+    ClauseRef ref() const { return tagged & ~kBinaryBit; }
+    bool binary() const { return (tagged & kBinaryBit) != 0; }
   };
 
   ClauseHeader* header(ClauseRef r) {
@@ -161,15 +168,31 @@ class Solver final : public Backend {
     return reinterpret_cast<const Lit*>(&arena_[r + sizeof(ClauseHeader)]);
   }
 
-  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learnt);
+  ClauseRef alloc_clause(std::span<const Lit> lits, bool learnt);
   void attach(ClauseRef ref);
   void detach(ClauseRef ref);
 
-  Value value(int var) const { return assigns_[var]; }
-  Value value(Lit l) const { return assigns_[l.var()] ^ l.sign(); }
+  Value value(int var) const { return values_[2 * var]; }
+  Value value(Lit l) const { return values_[l.code()]; }
 
-  void enqueue(Lit l, ClauseRef reason);
-  ClauseRef propagate(bool problem_only = false);
+  void enqueue(Lit l, ClauseRef reason) {
+    assert(value(l) == Value::Unknown);
+    values_[l.code()] = Value::True;
+    values_[(~l).code()] = Value::False;
+    level_[l.var()] = decision_level();
+    reason_[l.var()] = reason;
+    trail_.push_back(l);
+  }
+  ClauseRef propagate() { return propagate_impl<false>(); }
+  /// Propagation through problem clauses only (vivification): learnt
+  /// watchers are skipped and left in place.
+  ClauseRef propagate_problem_only() { return propagate_impl<true>(); }
+  template <bool kProblemOnly>
+  ClauseRef propagate_impl();
+  /// The literals of `var`'s reason clause with the implied literal first.
+  /// Propagation leaves a binary clause's arena order as it was, so a
+  /// binary reason is put in that order here before it is read.
+  const Lit* reason_lits(int var, std::uint32_t* size);
   void analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel,
                std::uint32_t& out_lbd);
   bool literal_redundant(Lit l, std::uint32_t abstract_levels);
@@ -186,17 +209,27 @@ class Solver final : public Backend {
   // --- inprocessing (between restarts, at decision level 0) ---
   //
   // The pipeline copies the clause database out of the arena, simplifies
-  // it as plain literal vectors (root simplification, subsumption and
-  // self-subsuming resolution, bounded variable elimination), rebuilds
+  // the copies (root simplification, subsumption and self-subsuming
+  // resolution, bounded variable elimination), rebuilds
   // the arena compactly, then vivifies in place using the solver's own
   // propagation. Eliminated variables carry their removed clauses on
   // elim_stack_ so models can be repaired and the variables reactivated
   // if a later add_clause() or assumption mentions them (the incremental
   // soundness story — see docs/SOLVER.md).
   void inprocess(const std::vector<Lit>& assumptions);
-  void rebuild_clause_db(const std::vector<std::vector<Lit>>& problem,
-                         const std::vector<std::pair<std::vector<Lit>, std::uint32_t>>&
-                             learnts);
+  /// A clause copied out of the arena: a span of ip_lits_.
+  struct CopiedClause {
+    std::uint32_t begin;
+    std::uint32_t size;
+    std::uint32_t lbd;
+  };
+  std::span<Lit> copied(const CopiedClause& c) {
+    return {ip_lits_.data() + c.begin, c.size};
+  }
+  /// ip_occ_ over the copied problem clauses.
+  void build_occurrences();
+  /// Re-allocates the arena from ip_problem_ and ip_learnts_.
+  void rebuild_clause_db();
   void vivify_round();
   void reactivate(int var);
   void repair_model();
@@ -236,7 +269,7 @@ class Solver final : public Backend {
   std::vector<ClauseRef> learnts_;
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal code
 
-  std::vector<Value> assigns_;
+  std::vector<Value> values_;  // indexed by literal code
   std::vector<Value> model_;
   std::vector<Value> saved_phase_;
   std::vector<int> level_;
@@ -268,12 +301,28 @@ class Solver final : public Backend {
   std::vector<ElimRecord> elim_stack_;
   std::uint64_t next_inprocess_ = 0;
   std::size_t vivify_cursor_ = 0;
+  // Inprocessing scratch, kept across rounds so that copy-out and the
+  // occurrence lists allocate only when the database outgrows every
+  // earlier round.
+  std::vector<Lit> ip_lits_;
+  std::vector<CopiedClause> ip_problem_, ip_learnts_;
+  std::vector<std::vector<std::uint32_t>> ip_occ_;  // literal code -> ip_problem_ index
 
-  // scratch for analyze()
+  // scratch for analyze(). seen_ holds a Seen state per variable; the
+  // minimization marks (removable, poison) are cleared with the clause's
+  // own marks through analyze_toclear_.
+  enum Seen : std::uint8_t { kSeenNone = 0, kSeenSource, kSeenRemovable, kSeenPoison };
   std::vector<std::uint8_t> seen_;
-  std::vector<Lit> analyze_stack_;
-  std::vector<int> minimize_marked_;
+  struct MinimizeFrame {
+    Lit lit;
+    std::uint32_t next;  // next reason literal to visit
+  };
+  std::vector<MinimizeFrame> minimize_stack_;
   std::vector<int> analyze_toclear_;
+  std::vector<std::uint32_t> level_lits_;  // clause literals per decision level
+  // scratch for compute_lbd(): per-level stamps
+  std::vector<std::uint32_t> lbd_mark_;
+  std::uint32_t lbd_stamp_ = 0;
 
   std::uint64_t stats_conflicts_ = 0;
   std::uint64_t stats_decisions_ = 0;
