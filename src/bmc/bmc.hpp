@@ -87,7 +87,7 @@ struct BmcStats {
 /// across bounds by the incremental core.
 class Bmc {
  public:
-  /// `config` tunes the underlying CDCL heuristics (portfolio racing);
+  /// `config` tunes the underlying CDCL heuristics (sat::SolverConfig);
   /// `plaisted_greenbaum` = true opts into polarity-split encoding (the
   /// equivalence tests run both encodings against each other);
   /// `cone_cache` shares bit-blasted cones campaign-wide (cone_cache.hpp);

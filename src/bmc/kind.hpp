@@ -41,7 +41,7 @@ struct KInductionOptions {
   /// Cooperative cancellation, threaded into both the base-case BMC and
   /// the inductive-step solver (see BmcOptions::stop).
   const std::atomic<bool>* stop = nullptr;
-  /// CDCL heuristics of both internal solvers (portfolio racing).
+  /// CDCL heuristics of both internal solvers.
   sat::SolverConfig solver_config;
   /// Polarity-split (Plaisted–Greenbaum) bit-blasting in both internal
   /// solvers (see Bmc's constructor flag). Off = full Tseitin.

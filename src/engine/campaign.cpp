@@ -35,7 +35,6 @@ namespace {
 
 /// Outcome of one prover inside the race.
 struct BmcSide {
-  bool ran = false;
   std::optional<bmc::Witness> found;
   bmc::BmcStats stats;
   std::string witness_text;
@@ -48,7 +47,6 @@ struct BmcSide {
 };
 
 struct KindSide {
-  bool ran = false;
   bmc::KInductionResult result;
   std::string witness_text;
   std::string bad_label;
@@ -56,19 +54,15 @@ struct KindSide {
   std::shared_ptr<const WitnessTrace> trace;
 };
 
-constexpr int kClaimNone = -1;
-
-/// Re-derive the canonical witness of a falsified job with the
-/// default-config BMC sweep. A witness found by a non-default portfolio
-/// member is model-shaped by that member's heuristics; replaying the
-/// deterministic default sweep up to the (member-independent) minimal
-/// violation length reproduces exactly the trace a single-config run
-/// reports, keeping reports byte-deterministic whatever the portfolio
-/// width. Costs one default-config sweep, paid only on falsified jobs.
-/// The replay deliberately runs without the job's budgets: the bound is
-/// known SAT, and a claimed violation whose witness cannot be read back
-/// is worse than a slightly-overspent cap (same rationale as the old
-/// model-extension budget lift).
+/// Re-derive the canonical witness of a falsified job with the native
+/// default-config BMC sweep. A witness found by a non-native backend is
+/// model-shaped by that engine; replaying the deterministic native sweep
+/// up to the (engine-independent) minimal violation length reproduces
+/// exactly the trace a native run reports, keeping reports
+/// byte-deterministic whatever the backend. Costs one sweep, paid only on
+/// falsified non-native jobs. The replay deliberately runs without the
+/// job's budgets: the bound is known SAT, and a claimed violation whose
+/// witness cannot be read back is worse than a slightly-overspent cap.
 void canonical_witness(const JobSpec& job, unsigned length,
                        const std::shared_ptr<smt::ConeCache>& cone_cache,
                        BmcSide* out) {
@@ -77,10 +71,8 @@ void canonical_witness(const JobSpec& job, unsigned length,
   std::string build_error;
   [[maybe_unused]] const bool built = job.build(ts, &build_error);
   assert(built && "a job that produced a witness must rebuild");
-  // Same encoding as a default single-config run: the canonical trace is
-  // the one that run reports. The replay always uses the native backend —
-  // an external engine's model is solver-shaped, and re-deriving it here
-  // is what keeps stable reports backend-independent.
+  // Same encoding as a native run: the canonical trace is the one that
+  // run reports.
   bmc::Bmc checker(ts, sat::SolverConfig{},
                    job.budget.plaisted_greenbaum.value_or(false), cone_cache);
   bmc::BmcOptions bo;
@@ -97,37 +89,24 @@ void canonical_witness(const JobSpec& job, unsigned length,
 }
 
 /// Sum the deterministic work counters of both prover stacks into the
-/// result (sequential mode: nothing was cancelled, so this is the
-/// deterministic total-work proxy the perf trajectory tracks).
+/// result (a k-induction run that never started contributes zeros). In
+/// sequential mode nothing was cancelled, so this is the deterministic
+/// total-work proxy the perf trajectory tracks.
 void tally_sequential_counters(const BmcSide& b, const KindSide& k, JobResult* r) {
-  r->conflicts = b.stats.solver_conflicts;
-  r->propagations = b.stats.solver_propagations;
-  r->decisions = b.stats.solver_decisions;
-  r->cnf_vars = b.stats.cnf_vars;
-  r->cnf_clauses = b.stats.cnf_clauses;
-  r->cone_lookups = b.stats.cone_lookups;
-  r->cone_hits = b.stats.cone_hits;
-  r->cone_clauses_replayed = b.stats.cone_clauses_replayed;
-  r->eliminated_vars = b.stats.eliminated_vars;
-  r->subsumed_clauses = b.stats.subsumed_clauses;
-  r->vivified_clauses = b.stats.vivified_clauses;
-  r->hit_memory_limit = b.stats.hit_memory_limit;
-  r->sat_retries = b.stats.sat_retries;
-  if (k.ran) {
-    r->conflicts += k.result.solver_conflicts;
-    r->propagations += k.result.solver_propagations;
-    r->decisions += k.result.solver_decisions;
-    r->cnf_vars += k.result.cnf_vars;
-    r->cnf_clauses += k.result.cnf_clauses;
-    r->cone_lookups += k.result.cone_lookups;
-    r->cone_hits += k.result.cone_hits;
-    r->cone_clauses_replayed += k.result.cone_clauses_replayed;
-    r->eliminated_vars += k.result.eliminated_vars;
-    r->subsumed_clauses += k.result.subsumed_clauses;
-    r->vivified_clauses += k.result.vivified_clauses;
-    r->hit_memory_limit = r->hit_memory_limit || k.result.hit_memory_limit;
-    r->sat_retries += k.result.sat_retries;
-  }
+  const bmc::KInductionResult& kr = k.result;
+  r->conflicts = b.stats.solver_conflicts + kr.solver_conflicts;
+  r->propagations = b.stats.solver_propagations + kr.solver_propagations;
+  r->decisions = b.stats.solver_decisions + kr.solver_decisions;
+  r->cnf_vars = b.stats.cnf_vars + kr.cnf_vars;
+  r->cnf_clauses = b.stats.cnf_clauses + kr.cnf_clauses;
+  r->cone_lookups = b.stats.cone_lookups + kr.cone_lookups;
+  r->cone_hits = b.stats.cone_hits + kr.cone_hits;
+  r->cone_clauses_replayed = b.stats.cone_clauses_replayed + kr.cone_clauses_replayed;
+  r->eliminated_vars = b.stats.eliminated_vars + kr.eliminated_vars;
+  r->subsumed_clauses = b.stats.subsumed_clauses + kr.subsumed_clauses;
+  r->vivified_clauses = b.stats.vivified_clauses + kr.vivified_clauses;
+  r->hit_memory_limit = b.stats.hit_memory_limit || kr.hit_memory_limit;
+  r->sat_retries = b.stats.sat_retries + kr.sat_retries;
 }
 
 }  // namespace
@@ -145,90 +124,75 @@ JobResult run_job(const JobSpec& job,
   // spec-level nullopt means plain Tseitin.
   const bool plaisted_greenbaum = job.budget.plaisted_greenbaum.value_or(false);
 
-  // Sequential mode runs one entrant per prover.
-  const unsigned portfolio =
-      job.budget.sequential_provers ? 1 : std::max(1u, job.budget.portfolio);
+  // One BMC sweep on the calling thread and (optionally) one k-induction
+  // run, both on the default solver configuration.
+  BmcSide bside;
+  KindSide kside;
 
-  // Entrants: `portfolio` BMC sweeps and (optionally) `portfolio`
-  // k-induction runs, each on its own solver configuration. Entrant 0 of
-  // each prover is always the default configuration.
-  std::vector<BmcSide> bsides(portfolio);
-  std::vector<KindSide> ksides(with_kind ? portfolio : 0);
-
-  // The race state: the first entrant with a *definite* verdict
+  // The race state: the first prover with a *definite* verdict
   // (counterexample or proof) claims the job and raises the stop flag the
-  // losers' CDCL loops poll. Indefinite outcomes (clean sweep, exhausted
+  // loser's CDCL loop polls. Indefinite outcomes (clean sweep, exhausted
   // max_k, budget) never cancel anyone — that is what keeps verdicts
   // deterministic across thread counts.
   std::atomic<bool> stop{false};
-  std::atomic<int> claim{kClaimNone};
-  const auto try_claim = [&](int who) {
-    int expected = kClaimNone;
+  std::atomic<Prover> claim{Prover::None};
+  const auto try_claim = [&](Prover who) {
+    Prover expected = Prover::None;
     if (claim.compare_exchange_strong(expected, who)) {
       stop.store(true, std::memory_order_release);
       return true;
     }
     return false;
   };
+  // The native witness is already canonical; a non-native winner's trace
+  // is re-derived after the join (canonical_witness).
+  const bool native = job.budget.backend == sat::BackendKind::Native;
+  sat::SolverConfig cfg;
+  cfg.memory_limit_mb = job.budget.memory_limit_mb;
 
-  const auto bmc_prover = [&](unsigned idx, const std::atomic<bool>* stop_flag) {
-    BmcSide& side = bsides[idx];
-    side.ran = true;
+  const auto bmc_prover = [&](const std::atomic<bool>* stop_flag) {
     smt::TermManager mgr;
     ts::TransitionSystem ts(mgr);
     // Build failures (e.g. a corpus file that does not parse) are
-    // deterministic: every entrant fails identically, so recording the
+    // deterministic: both provers fail identically, so recording the
     // diagnostic and returning leaves the race with no claimant and the
     // job reports Unknown with the note attached.
-    if (!job.build(ts, &side.build_error)) return;
-    sat::SolverConfig cfg = sat::SolverConfig::portfolio_member(idx);
-    cfg.memory_limit_mb = job.budget.memory_limit_mb;
+    if (!job.build(ts, &bside.build_error)) return;
     bmc::Bmc checker(ts, cfg, plaisted_greenbaum, cone_cache, job.budget.backend);
     bmc::BmcOptions bo;
     bo.max_bound = job.budget.max_bound;
     bo.conflict_budget_per_bound = job.budget.conflict_budget;
     bo.max_seconds = job.budget.max_seconds;
     bo.stop = stop_flag;
-    side.found = checker.check(bo);
-    side.stats = checker.stats();
-    if (side.found && (!stop_flag || try_claim(static_cast<int>(idx)))) {
-      // The native default-config witness is already canonical; any other
-      // winner's trace is re-derived after the join (canonical_witness).
-      if (idx == 0 && job.budget.backend == sat::BackendKind::Native) {
-        side.witness_text = bmc::witness_to_string(ts, *side.found);
-        side.bad_label = side.found->bad_label;
-        side.trace =
-            std::make_shared<const WitnessTrace>(extract_trace(ts, *side.found));
-      }
+    bside.found = checker.check(bo);
+    bside.stats = checker.stats();
+    if (bside.found && (!stop_flag || try_claim(Prover::Bmc)) && native) {
+      bside.witness_text = bmc::witness_to_string(ts, *bside.found);
+      bside.bad_label = bside.found->bad_label;
+      bside.trace = std::make_shared<const WitnessTrace>(extract_trace(ts, *bside.found));
     }
   };
 
-  const auto kind_prover = [&](unsigned idx, const std::atomic<bool>* stop_flag) {
-    KindSide& side = ksides[idx];
-    side.ran = true;
+  const auto kind_prover = [&](const std::atomic<bool>* stop_flag) {
     smt::TermManager mgr;
     ts::TransitionSystem ts(mgr);
-    if (!job.build(ts, &side.build_error)) return;
+    if (!job.build(ts, &kside.build_error)) return;
     bmc::KInductionOptions ko;
     ko.max_k = job.budget.max_k;
     ko.conflict_budget = job.budget.conflict_budget;
     ko.max_seconds = job.budget.max_seconds;
     ko.stop = stop_flag;
-    ko.solver_config = sat::SolverConfig::portfolio_member(idx);
-    ko.solver_config.memory_limit_mb = job.budget.memory_limit_mb;
+    ko.solver_config = cfg;
     ko.plaisted_greenbaum = plaisted_greenbaum;
     ko.cone_cache = cone_cache;
     ko.backend = job.budget.backend;
-    side.result = bmc::prove_by_k_induction(ts, ko);
-    if (side.result.status != bmc::KInductionStatus::Unknown &&
-        (!stop_flag || try_claim(static_cast<int>(portfolio + idx)))) {
-      if (side.result.witness && idx == 0 &&
-          job.budget.backend == sat::BackendKind::Native) {
-        side.witness_text = bmc::witness_to_string(ts, *side.result.witness);
-        side.bad_label = side.result.witness->bad_label;
-        side.trace = std::make_shared<const WitnessTrace>(
-            extract_trace(ts, *side.result.witness));
-      }
+    kside.result = bmc::prove_by_k_induction(ts, ko);
+    if (kside.result.status != bmc::KInductionStatus::Unknown &&
+        (!stop_flag || try_claim(Prover::KInduction)) && kside.result.witness && native) {
+      kside.witness_text = bmc::witness_to_string(ts, *kside.result.witness);
+      kside.bad_label = kside.result.witness->bad_label;
+      kside.trace =
+          std::make_shared<const WitnessTrace>(extract_trace(ts, *kside.result.witness));
     }
   };
 
@@ -238,119 +202,93 @@ JobResult run_job(const JobSpec& job,
     // by fixed order (BMC's counterexample first, else k-induction's
     // verdict) — which yields exactly the verdict fields the race
     // produces, with fully reproducible work counters on top.
-    bmc_prover(0, nullptr);
-    if (bsides[0].found) {
-      claim.store(0);
-    } else if (with_kind && bsides[0].build_error.empty()) {
-      kind_prover(0, nullptr);
-      if (ksides[0].result.status != bmc::KInductionStatus::Unknown)
-        claim.store(static_cast<int>(portfolio));
+    bmc_prover(nullptr);
+    if (bside.found) {
+      claim.store(Prover::Bmc);
+    } else if (with_kind && bside.build_error.empty()) {
+      kind_prover(nullptr);
+      if (kside.result.status != bmc::KInductionStatus::Unknown)
+        claim.store(Prover::KInduction);
     }
+  } else if (with_kind) {
+    std::thread helper([&] { kind_prover(&stop); });
+    bmc_prover(&stop);
+    helper.join();
   } else {
-    const unsigned entrants = portfolio + (with_kind ? portfolio : 0);
-    std::vector<std::thread> others;
-    others.reserve(entrants - 1);
-    for (unsigned e = 1; e < entrants; ++e) {
-      if (e < portfolio) {
-        others.emplace_back([&, e] { bmc_prover(e, &stop); });
-      } else {
-        others.emplace_back([&, e] { kind_prover(e - portfolio, &stop); });
-      }
-    }
-    bmc_prover(0, &stop);
-    for (std::thread& t : others) t.join();
+    bmc_prover(&stop);
   }
 
-  const auto any_loser_cancelled = [&](int who) {
-    for (unsigned i = 0; i < bsides.size(); ++i)
-      if (bsides[i].ran && static_cast<int>(i) != who && bsides[i].stats.cancelled)
-        return true;
-    for (unsigned i = 0; i < ksides.size(); ++i)
-      if (ksides[i].ran && static_cast<int>(portfolio + i) != who &&
-          ksides[i].result.cancelled)
-        return true;
-    return false;
-  };
-
-  r.bmc_bounds_checked = bsides[0].stats.bounds_checked;
-  const int who = claim.load(std::memory_order_acquire);
-  if (!bsides[0].build_error.empty()) {
-    // The model never built (deterministically — every entrant sees the
+  r.bmc_bounds_checked = bside.stats.bounds_checked;
+  const Prover who = claim.load(std::memory_order_acquire);
+  if (!bside.build_error.empty()) {
+    // The model never built (deterministically — both provers see the
     // same source), so there is nothing a prover could have decided.
     // Report the diagnostic instead of aborting the campaign.
     r.verdict = Verdict::Unknown;
-    r.note = bsides[0].build_error;
-  } else if (who >= 0 && who < static_cast<int>(portfolio)) {
-    BmcSide& side = bsides[who];
+    r.note = bside.build_error;
+  } else if (who == Prover::Bmc) {
     r.verdict = Verdict::Falsified;
     r.winner = Prover::Bmc;
-    r.trace_length = side.found->length;
-    if (who != 0 || job.budget.backend != sat::BackendKind::Native)
-      canonical_witness(job, side.found->length, cone_cache, &side);
-    r.bad_label = side.bad_label;
-    r.witness = side.witness_text;
-    r.trace = side.trace;
-    r.conflicts = side.stats.solver_conflicts;
-    r.propagations = side.stats.solver_propagations;
-    r.decisions = side.stats.solver_decisions;
-    r.cnf_vars = side.stats.cnf_vars;
-    r.cnf_clauses = side.stats.cnf_clauses;
-    r.cone_lookups = side.stats.cone_lookups;
-    r.cone_hits = side.stats.cone_hits;
-    r.cone_clauses_replayed = side.stats.cone_clauses_replayed;
-    r.eliminated_vars = side.stats.eliminated_vars;
-    r.subsumed_clauses = side.stats.subsumed_clauses;
-    r.vivified_clauses = side.stats.vivified_clauses;
-    r.loser_cancelled = any_loser_cancelled(who);
-    if (job.budget.sequential_provers)
-      tally_sequential_counters(bsides[0], ksides.empty() ? KindSide{} : ksides[0],
-                                &r);
-  } else if (who >= static_cast<int>(portfolio)) {
-    const unsigned idx = static_cast<unsigned>(who) - portfolio;
-    KindSide& side = ksides[idx];
+    r.trace_length = bside.found->length;
+    if (!native) canonical_witness(job, bside.found->length, cone_cache, &bside);
+    r.bad_label = bside.bad_label;
+    r.witness = bside.witness_text;
+    r.trace = bside.trace;
+    r.conflicts = bside.stats.solver_conflicts;
+    r.propagations = bside.stats.solver_propagations;
+    r.decisions = bside.stats.solver_decisions;
+    r.cnf_vars = bside.stats.cnf_vars;
+    r.cnf_clauses = bside.stats.cnf_clauses;
+    r.cone_lookups = bside.stats.cone_lookups;
+    r.cone_hits = bside.stats.cone_hits;
+    r.cone_clauses_replayed = bside.stats.cone_clauses_replayed;
+    r.eliminated_vars = bside.stats.eliminated_vars;
+    r.subsumed_clauses = bside.stats.subsumed_clauses;
+    r.vivified_clauses = bside.stats.vivified_clauses;
+    r.loser_cancelled = kside.result.cancelled;
+    if (job.budget.sequential_provers) tally_sequential_counters(bside, kside, &r);
+  } else if (who == Prover::KInduction) {
     r.winner = Prover::KInduction;
-    r.conflicts = side.result.solver_conflicts;
-    r.propagations = side.result.solver_propagations;
-    r.decisions = side.result.solver_decisions;
-    r.cnf_vars = side.result.cnf_vars;
-    r.cnf_clauses = side.result.cnf_clauses;
-    r.cone_lookups = side.result.cone_lookups;
-    r.cone_hits = side.result.cone_hits;
-    r.cone_clauses_replayed = side.result.cone_clauses_replayed;
-    r.eliminated_vars = side.result.eliminated_vars;
-    r.subsumed_clauses = side.result.subsumed_clauses;
-    r.vivified_clauses = side.result.vivified_clauses;
-    r.loser_cancelled = any_loser_cancelled(who);
-    if (side.result.status == bmc::KInductionStatus::Falsified) {
+    r.conflicts = kside.result.solver_conflicts;
+    r.propagations = kside.result.solver_propagations;
+    r.decisions = kside.result.solver_decisions;
+    r.cnf_vars = kside.result.cnf_vars;
+    r.cnf_clauses = kside.result.cnf_clauses;
+    r.cone_lookups = kside.result.cone_lookups;
+    r.cone_hits = kside.result.cone_hits;
+    r.cone_clauses_replayed = kside.result.cone_clauses_replayed;
+    r.eliminated_vars = kside.result.eliminated_vars;
+    r.subsumed_clauses = kside.result.subsumed_clauses;
+    r.vivified_clauses = kside.result.vivified_clauses;
+    r.loser_cancelled = bside.stats.cancelled;
+    if (kside.result.status == bmc::KInductionStatus::Falsified) {
       r.verdict = Verdict::Falsified;
-      r.trace_length = side.result.witness ? side.result.witness->length : 0;
-      if ((idx != 0 || job.budget.backend != sat::BackendKind::Native) &&
-          side.result.witness) {
+      r.trace_length = kside.result.witness ? kside.result.witness->length : 0;
+      if (!native && kside.result.witness) {
         BmcSide canon;
-        canonical_witness(job, side.result.witness->length, cone_cache, &canon);
-        side.witness_text = canon.witness_text;
-        side.bad_label = canon.bad_label;
-        side.trace = canon.trace;
+        canonical_witness(job, kside.result.witness->length, cone_cache, &canon);
+        kside.witness_text = canon.witness_text;
+        kside.bad_label = canon.bad_label;
+        kside.trace = canon.trace;
       }
-      r.bad_label = side.bad_label;
-      r.witness = side.witness_text;
-      r.trace = side.trace;
+      r.bad_label = kside.bad_label;
+      r.witness = kside.witness_text;
+      r.trace = kside.trace;
     } else {
       r.verdict = Verdict::Proved;
-      r.proved_k = side.result.k;
+      r.proved_k = kside.result.k;
     }
-    if (job.budget.sequential_provers)
-      tally_sequential_counters(bsides[0], ksides[0], &r);
+    if (job.budget.sequential_provers) tally_sequential_counters(bside, kside, &r);
   } else {
-    // No definite verdict from any entrant. A completed BMC sweep is
+    // No definite verdict from either prover. A completed BMC sweep is
     // itself a definite bounded result (BoundClean) even when the
     // induction side ran out of budget — only BMC's own budgets can
     // demote the verdict to Unknown. This keeps verdicts deterministic
     // under (deterministic) conflict budgets: a budget-truncated
     // k-induction run never changes the verdict, it only loses the
     // chance to upgrade it to Proved.
-    tally_sequential_counters(bsides[0], ksides.empty() ? KindSide{} : ksides[0], &r);
-    if (bsides[0].stats.hit_resource_limit || bsides[0].stats.cancelled) {
+    tally_sequential_counters(bside, kside, &r);
+    if (bside.stats.hit_resource_limit || bside.stats.cancelled) {
       r.verdict = Verdict::Unknown;
       r.hit_resource_limit = true;
       // A memory-ceiling trip is deterministic for a fixed spec and
@@ -359,8 +297,7 @@ JobResult run_job(const JobSpec& job,
       if (r.hit_memory_limit) r.note = "resource: memory";
     } else {
       r.verdict = Verdict::BoundClean;
-      r.hit_resource_limit = !ksides.empty() && ksides[0].ran &&
-                             ksides[0].result.hit_resource_limit;
+      r.hit_resource_limit = kside.result.hit_resource_limit;
     }
   }
   r.seconds = clock.seconds();

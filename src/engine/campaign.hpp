@@ -4,7 +4,7 @@
 // parallel sweeps: instruction classes × QED mode {EDDI-V, EDSEP-V} ×
 // injected mutation, each cell an independent model-checking run. This
 // engine is the architectural seam those sweeps (and every future scaling
-// direction — sharding, portfolio solvers, multi-backend) plug into:
+// direction — sharding, multi-backend) plug into:
 //
 //   * a CampaignSpec is a declarative list of verification jobs; where
 //     the jobs come from is a *workload family* concern (engine/
@@ -90,19 +90,10 @@ struct JobBudget {
   std::uint64_t conflict_budget = 0;  // per-solver-call cap (0 = none)
   double max_seconds = 0.0;           // per-job wall cap (0 = none)
   bool race_k_induction = true;       // false = BMC only, no second prover
-  /// Race this many differently-configured CDCL instances per prover
-  /// (sat::SolverConfig::portfolio_member). 1 = the default config only.
-  /// Verdict-bearing fields stay deterministic: all members agree on
-  /// verdict/length/depth by construction, and a witness found by a
-  /// non-default member is re-derived with the default config before it
-  /// is reported. Under a conflict budget a wider portfolio can only
-  /// *upgrade* Unknown verdicts to definite ones, never change them.
-  unsigned portfolio = 1;
   /// Run the provers sequentially on the calling thread with no
-  /// cancellation (and the default solver config only). Slower, but every
-  /// counter in the JobResult — not just the verdict fields — is then
-  /// deterministic: both provers always run to completion. Used by
-  /// bench/campaign_perf for the perf trajectory.
+  /// cancellation. Slower, but every counter in the JobResult — not just
+  /// the verdict fields — is then deterministic: both provers always run
+  /// to completion. Used by bench/campaign_perf for the perf trajectory.
   bool sequential_provers = false;
   /// Bit-blasting encoding for both provers. nullopt = the workload
   /// family's default, resolved at expansion: QED keeps full Tseitin
@@ -117,7 +108,7 @@ struct JobBudget {
   /// re-derived with the native default-config replay, so stable JSON is
   /// backend-independent for definite verdicts.
   sat::BackendKind backend = sat::BackendKind::Native;
-  /// Per-entrant SAT-arena memory ceiling in MiB (0 = none). A job whose
+  /// Per-solver SAT-arena memory ceiling in MiB (0 = none). A job whose
   /// solvers outgrow it degrades to Verdict::Unknown with a
   /// "resource: memory" note — a diagnosed row, never a process abort.
   /// Deterministic (the arena is a pure function of the clause stream),
@@ -293,8 +284,8 @@ struct CampaignReport {
 
 /// Run one job on the calling thread (racing its provers internally).
 /// `cone_cache` (may be null) is shared by every solver stack the job
-/// spins up — the portfolio entrants, both provers, and the canonical
-/// witness replay all hit the same store.
+/// spins up — both provers and the canonical witness replay all hit the
+/// same store.
 JobResult run_job(const JobSpec& job,
                   const std::shared_ptr<smt::ConeCache>& cone_cache = nullptr);
 

@@ -25,8 +25,10 @@ namespace {
 /// memory-capped Unknown must never be replayed as an uncapped verdict
 /// (or vice versa). v3: a learnt-clause sharing width joined the key.
 /// v4: that width left the key again with the sharing feature, so v3
-/// entries degrade to misses.
-constexpr int kFormatVersion = 4;
+/// entries degrade to misses. v5: the per-prover CDCL race width left
+/// the key with that feature, so a budgeted v4 verdict reached by a wider
+/// race never aliases a default run.
+constexpr int kFormatVersion = 5;
 
 std::uint64_t fnv1a(const char* data, std::size_t n,
                     std::uint64_t h = 1469598103934665603ull) {
@@ -141,7 +143,7 @@ bool VerdictCache::cacheable(const JobSpec& job) {
   // Wall-capped verdicts depend on machine load (campaign.hpp's
   // determinism caveat); replaying one would present a load-dependent
   // answer as reproducible. Everything else — conflict budgets, bounds,
-  // portfolio width, encoding — is deterministic and safe to reuse.
+  // encoding, backend — is deterministic and safe to reuse.
   return job.budget.max_seconds <= 0.0;
 }
 
@@ -176,7 +178,6 @@ std::string VerdictCache::key_of(const JobSpec& job, const std::string& fingerpr
   // max_seconds deliberately not mixed: cacheable() refuses wall-capped
   // jobs outright, so every cached job has max_seconds == 0.
   mix_byte(job.budget.race_k_induction ? 1 : 0);
-  mix_u64(job.budget.portfolio);
   mix_byte(job.budget.sequential_provers ? 1 : 0);
   mix_byte(job.budget.plaisted_greenbaum.value_or(false) ? 1 : 0);
   // A campaign solved by a different SAT engine is a different campaign:

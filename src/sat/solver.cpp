@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace sepe::sat {
@@ -17,122 +13,14 @@ bool by_code(Lit a, Lit b) { return a.code() < b.code(); }
 
 }  // namespace
 
-std::string SolverConfig::to_string() const {
-  char buf[336];
-  int n = std::snprintf(buf, sizeof buf,
-                        "decay=%.17g;restart=%s;base=%u;mult=%.17g;phase=%d;rand=%u;"
-                        "seed=%" PRIu64 ";reduce=%" PRIu64 "+%" PRIu64 ";inproc=%" PRIu64
-                        ";bve=%u;vivify=%d",
-                        var_decay, restart == Restart::Luby ? "luby" : "geometric",
-                        restart_base, restart_mult, phase_init_true ? 1 : 0,
-                        random_branch_freq, seed, reduce_base, reduce_increment,
-                        inprocess_interval, bve_occurrence_limit, vivify ? 1 : 0);
-  // Tail segments are appended only when non-default so existing
-  // (pre-knob) strings stay byte-identical and keep parsing.
-  if (memory_limit_mb != 0)
-    std::snprintf(buf + n, sizeof buf - n, ";mem=%u", memory_limit_mb);
-  return buf;
-}
-
-std::optional<SolverConfig> SolverConfig::from_string(const std::string& text) {
-  SolverConfig c;
-  char restart_name[16] = {0};
-  int phase = 0;
-  int vivify_flag = 0;
-  int consumed = 0;
-  const int got = std::sscanf(
-      text.c_str(),
-      "decay=%lg;restart=%15[a-z];base=%u;mult=%lg;phase=%d;rand=%u;"
-      "seed=%" SCNu64 ";reduce=%" SCNu64 "+%" SCNu64 ";inproc=%" SCNu64
-      ";bve=%u;vivify=%d%n",
-      &c.var_decay, restart_name, &c.restart_base, &c.restart_mult, &phase,
-      &c.random_branch_freq, &c.seed, &c.reduce_base, &c.reduce_increment,
-      &c.inprocess_interval, &c.bve_occurrence_limit, &vivify_flag, &consumed);
-  if (got != 12) return std::nullopt;
-  // Optional tail segments, in emission order. to_string writes each one
-  // only when the knob is non-default, so a tail carrying the default
-  // value is non-canonical and rejected.
-  const char* tail = text.c_str() + consumed;
-  int seg = 0;
-  if (std::sscanf(tail, ";mem=%u%n", &c.memory_limit_mb, &seg) == 1) {
-    if (c.memory_limit_mb == 0) return std::nullopt;
-    tail += seg;
-  }
-  if (*tail != '\0') return std::nullopt;
-  if (!std::strcmp(restart_name, "luby")) {
-    c.restart = Restart::Luby;
-  } else if (!std::strcmp(restart_name, "geometric")) {
-    c.restart = Restart::Geometric;
-  } else {
-    return std::nullopt;
-  }
-  if (phase != 0 && phase != 1) return std::nullopt;
-  c.phase_init_true = phase == 1;
-  if (vivify_flag != 0 && vivify_flag != 1) return std::nullopt;
-  c.vivify = vivify_flag == 1;
-  if (!(c.var_decay > 0.0 && c.var_decay <= 1.0)) return std::nullopt;
-  if (!(c.restart_mult >= 1.0) || c.restart_base == 0) return std::nullopt;
-  // A zero reduction cadence would purge the learnt DB on every conflict.
-  if (c.reduce_base == 0 || c.reduce_increment == 0) return std::nullopt;
-  return c;
-}
-
-SolverConfig SolverConfig::portfolio_member(unsigned index) {
-  SolverConfig c;
-  if (index == 0) return c;  // member 0: the default configuration, untouched
-  switch (index % 4) {
-    case 0:
-      // Index 4, 8, ...: default heuristics plus seeded random branching,
-      // so the per-index seed actually diversifies the search.
-      c.random_branch_freq = 256;
-      break;
-    case 1:
-      // Slow decay + geometric restarts + eager inprocessing: long-haul
-      // UNSAT grinder.
-      c.var_decay = 0.99;
-      c.restart = Restart::Geometric;
-      c.restart_base = 200;
-      c.restart_mult = 1.3;
-      c.inprocess_interval = 2000;
-      break;
-    case 2:
-      // Phase-true init + occasional random branching, no vivification:
-      // model diversity for SAT-leaning queries.
-      c.phase_init_true = true;
-      c.random_branch_freq = 128;
-      c.vivify = false;
-      break;
-    case 3:
-      // The pre-tuning historical configuration: slower decay, longer
-      // Luby bursts, eager learnt reduction, no inprocessing at all —
-      // structurally different search from the retention-heavy default.
-      c.var_decay = 0.95;
-      c.restart_base = 100;
-      c.reduce_base = 4000;
-      c.reduce_increment = 2000;
-      c.inprocess_interval = 0;
-      break;
-  }
-  c.seed = 0x9e3779b97f4a7c15ULL * (index + 1);
-  return c;
-}
-
-Solver::Solver(const SolverConfig& config) : config_(config), rng_state_(config.seed) {}
-
-std::uint64_t Solver::next_random() {
-  // splitmix64 — deterministic from config_.seed.
-  std::uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+Solver::Solver(const SolverConfig& config) : config_(config) {}
 
 int Solver::new_var() {
   const int v = num_vars();
   values_.push_back(Value::Unknown);
   values_.push_back(Value::Unknown);
   model_.push_back(Value::False);
-  saved_phase_.push_back(config_.phase_init_true ? Value::True : Value::False);
+  saved_phase_.push_back(Value::False);
   level_.push_back(0);
   reason_.push_back(kNullRef);
   activity_.push_back(0.0);
@@ -523,17 +411,6 @@ void Solver::backtrack(int target) {
 }
 
 Lit Solver::pick_branch() {
-  // Portfolio diversity: every Nth decision branches on a pseudo-random
-  // unassigned variable instead of the VSIDS top. Deterministic (seeded);
-  // falls through to VSIDS when the drawn variable is already assigned.
-  if (config_.random_branch_freq != 0 && num_vars() != 0 &&
-      (stats_decisions_ + 1) % config_.random_branch_freq == 0) {
-    const int v = static_cast<int>(next_random() % (values_.size() / 2));
-    if (value(v) == Value::Unknown && !eliminated(v)) {
-      ++stats_decisions_;
-      return Lit(v, saved_phase_[v] == Value::False);
-    }
-  }
   while (!heap_empty()) {
     const int v = heap_pop();
     if (value(v) == Value::Unknown && !eliminated(v)) {
@@ -542,16 +419,6 @@ Lit Solver::pick_branch() {
     }
   }
   return Lit();  // all assigned
-}
-
-std::uint64_t Solver::restart_interval(std::uint64_t restart_count) const {
-  if (config_.restart == SolverConfig::Restart::Luby)
-    return config_.restart_base * luby(restart_count + 1);
-  const double interval =
-      static_cast<double>(config_.restart_base) *
-      std::pow(config_.restart_mult, static_cast<double>(restart_count));
-  constexpr double kCap = 1e18;  // avoid overflow on long geometric runs
-  return static_cast<std::uint64_t>(std::min(interval, kCap));
 }
 
 std::uint64_t Solver::luby(std::uint64_t i) {
@@ -1122,8 +989,8 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
   }
   const auto solve_start = std::chrono::steady_clock::now();
   std::uint64_t conflicts_at_start = stats_conflicts_;
-  std::uint64_t restart_count = 0;
-  std::uint64_t restart_limit = restart_interval(restart_count);
+  std::uint64_t restarts = 1;  // 1-based index into the Luby series
+  std::uint64_t restart_limit = config_.restart_base * luby(restarts);
   std::uint64_t conflicts_this_restart = 0;
   std::uint64_t next_reduce = config_.reduce_base;
   if (config_.inprocess_interval != 0 && next_inprocess_ == 0)
@@ -1193,8 +1060,7 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
     if (conflicts_this_restart >= restart_limit &&
         decision_level() > static_cast<int>(assumptions.size())) {
       ++stats_restarts_;
-      ++restart_count;
-      restart_limit = restart_interval(restart_count);
+      restart_limit = config_.restart_base * luby(++restarts);
       conflicts_this_restart = 0;
       backtrack(static_cast<int>(assumptions.size()));
       // Inprocess between restarts, whenever enough conflicts accrued

@@ -19,7 +19,6 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,34 +27,17 @@
 
 namespace sepe::sat {
 
-/// Tunable CDCL heuristics, extracted from what used to be hard-coded
-/// constants so a campaign job can race differently-configured solver
-/// instances on the same query (portfolio solving). The defaults are
-/// tuned on the deep-UNSAT QED campaign queries (short Luby bursts,
-/// faster decay, twice the learnt-clause retention of the historical
-/// constants — ~30% fewer total conflicts on the Table-1 sweep; the
-/// historical configuration survives as portfolio_member(3)).
+/// Tunable CDCL heuristics. The defaults are tuned on the deep-UNSAT QED
+/// campaign queries (short Luby bursts, fast VSIDS decay, generous
+/// learnt-clause retention); tests and jobs adjust the cadences and
+/// switch inprocessing stages off.
 ///
 /// Every knob is deterministic: two solvers with the same config and the
-/// same clause stream make identical decisions (random branching draws
-/// from a fixed-seed splitmix64, never from entropy).
+/// same clause stream make identical decisions.
 struct SolverConfig {
-  enum class Restart : std::uint8_t { Luby, Geometric };
-
-  /// VSIDS activity decay per conflict (activities divide by this).
-  double var_decay = 0.90;
-  Restart restart = Restart::Luby;
-  /// Conflicts before the first restart (Luby: multiplier of the series).
+  /// Luby restart unit: restart i comes after restart_base * luby(i)
+  /// conflicts.
   unsigned restart_base = 50;
-  /// Geometric restarts: interval growth factor per restart.
-  double restart_mult = 1.5;
-  /// Initial saved phase of fresh variables (phase saving overwrites it).
-  bool phase_init_true = false;
-  /// Branch on a pseudo-random unassigned variable every N decisions
-  /// (0 = pure VSIDS).
-  unsigned random_branch_freq = 0;
-  /// Seed of the random-branching generator.
-  std::uint64_t seed = 1;
   /// Learnt-DB reductions start at this many learnts...
   std::uint64_t reduce_base = 8000;
   /// ...and re-trigger after this many more.
@@ -77,18 +59,6 @@ struct SolverConfig {
   /// abort. Deterministic: the arena size is a pure function of the
   /// clause stream.
   unsigned memory_limit_mb = 0;
-
-  bool operator==(const SolverConfig&) const = default;
-
-  /// Round-trippable "key=value;..." form (diagnostics, reports, tests).
-  std::string to_string() const;
-  /// Parse to_string() output. Nullopt on any malformed field.
-  static std::optional<SolverConfig> from_string(const std::string& text);
-
-  /// The standard portfolio: member 0 is the default config; higher
-  /// indices diversify restarts, decay, phase, random branching and the
-  /// inprocessing pipeline. Deterministic in `index`.
-  static SolverConfig portfolio_member(unsigned index);
 };
 
 /// Incremental CDCL SAT solver — the native Backend implementation.
@@ -100,8 +70,6 @@ struct SolverConfig {
 class Solver final : public Backend {
  public:
   explicit Solver(const SolverConfig& config = {});
-
-  const SolverConfig& config() const { return config_; }
 
   BackendKind kind() const override { return BackendKind::Native; }
   std::string name() const override { return "native"; }
@@ -200,7 +168,7 @@ class Solver final : public Backend {
   void backtrack(int level);
   Lit pick_branch();
   void bump_var(int var);
-  void decay_var_activity() { var_inc_ /= config_.var_decay; }
+  void decay_var_activity() { var_inc_ /= kVarDecay; }
   void bump_clause(ClauseRef ref);
   void reduce_learnts();
   void rescale_var_activity();
@@ -256,13 +224,11 @@ class Solver final : public Backend {
     return var < static_cast<int>(heap_index_.size()) && heap_index_[var] >= 0;
   }
 
-  std::uint64_t restart_interval(std::uint64_t restart_count) const;
-  std::uint64_t next_random();
-
   static constexpr double kActivityLimit = 1e100;
+  /// VSIDS activity decay per conflict (activities divide by this).
+  static constexpr double kVarDecay = 0.90;
 
   SolverConfig config_;
-  std::uint64_t rng_state_;
 
   std::vector<std::uint8_t> arena_;
   std::vector<ClauseRef> clauses_;

@@ -33,7 +33,7 @@ enum class Result { Sat, Unsat, Unknown };
 
 class SmtSolver {
  public:
-  /// `config` tunes the CDCL heuristics (portfolio racing).
+  /// `config` tunes the CDCL heuristics (sat::SolverConfig).
   /// `plaisted_greenbaum` = true opts into polarity-split encoding (see
   /// bitblast.hpp for why full Tseitin is the default).
   /// `cone_cache`, when non-null, shares bit-blasted cones with the other

@@ -243,5 +243,38 @@ TEST(BackendEquivalence, PinnedTableRowStableJsonIsByteIdentical) {
   EXPECT_NE(native_json.find("FALSIFIED"), std::string::npos);
 }
 
+// The canonical-witness replay behind a k-induction winner: BMC's bound
+// stops short of the length-5 violation, so only k-induction's base case
+// can falsify the counter job, on either backend. The DIMACS winner's
+// witness is re-derived by the native replay and must match the native
+// run's own trace.
+TEST(BackendEquivalence, KInductionWinnerWitnessIsCanonical) {
+  REQUIRE_EXTERNAL_SOLVER();
+  engine::JobSpec job;
+  job.name = "cnt5";
+  job.budget.max_bound = 2;
+  job.budget.max_k = 8;
+  job.build = [](ts::TransitionSystem& ts, std::string*) {
+    smt::TermManager& mgr = ts.mgr();
+    const smt::TermRef cnt = ts.add_state("cnt", 8);
+    const smt::TermRef inc = ts.add_input("inc", 1);
+    ts.set_init(cnt, mgr.mk_const(8, 0));
+    ts.set_next(cnt, mgr.mk_ite(inc, mgr.mk_add(cnt, mgr.mk_const(8, 1)), cnt));
+    ts.add_bad(mgr.mk_eq(cnt, mgr.mk_const(8, 5)), "cnt-target");
+    return true;
+  };
+  const engine::JobResult native = engine::run_job(job);
+  job.budget.backend = BackendKind::Dimacs;
+  const engine::JobResult dimacs = engine::run_job(job);
+  ASSERT_EQ(native.verdict, engine::Verdict::Falsified);
+  EXPECT_EQ(native.winner, engine::Prover::KInduction);
+  EXPECT_EQ(dimacs.verdict, engine::Verdict::Falsified);
+  EXPECT_EQ(dimacs.winner, engine::Prover::KInduction);
+  EXPECT_EQ(dimacs.trace_length, native.trace_length);
+  EXPECT_EQ(dimacs.bad_label, native.bad_label);
+  EXPECT_EQ(dimacs.witness, native.witness);
+  EXPECT_NE(native.witness.find("counterexample of length 5"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace sepe

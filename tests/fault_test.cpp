@@ -205,21 +205,6 @@ TEST_F(FaultEnvelope, DataActionsAreNoOpsInExecute) {
 
 // --- per-job memory ceiling (solver layer) ---
 
-TEST_F(FaultSolver, MemoryCeilingRoundTripsThroughConfigString) {
-  sat::SolverConfig cfg;
-  EXPECT_EQ(cfg.to_string().find("mem="), std::string::npos)
-      << "default config string must stay byte-identical to pre-ceiling runs";
-  const auto old = sat::SolverConfig::from_string(cfg.to_string());
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->memory_limit_mb, 0u);
-
-  cfg.memory_limit_mb = 64;
-  EXPECT_NE(cfg.to_string().find(";mem=64"), std::string::npos);
-  const auto parsed = sat::SolverConfig::from_string(cfg.to_string());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, cfg);
-}
-
 TEST_F(FaultSolver, RealArenaCeilingDegradesToUnknown) {
   sat::SolverConfig cfg;
   cfg.memory_limit_mb = 1;

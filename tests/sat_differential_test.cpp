@@ -1,5 +1,5 @@
 // Brute-force differential test of the CDCL solver on small, binary-heavy
-// incremental CNFs (at most 12 variables), over every portfolio member.
+// incremental CNFs (at most 12 variables), over every config variant.
 //
 // Binary clauses take their own path through propagation, conflict
 // analysis, minimization, final-conflict analysis and learnt-clause
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sat/solver.hpp"
+#include "solver_variants.hpp"
 #include "util/rng.hpp"
 
 namespace sepe::sat {
@@ -73,10 +74,9 @@ class Oracle {
   std::vector<Mask> masks_;
 };
 
-/// The portfolio member with learnt reduction firing after almost every
-/// conflict and inprocessing (where the member runs it) at every restart.
-SolverConfig stressed_config(unsigned member) {
-  SolverConfig c = SolverConfig::portfolio_member(member);
+/// The variant with learnt reduction firing after almost every conflict
+/// and inprocessing (where the variant runs it) at every restart.
+SolverConfig stressed_config(SolverConfig c) {
   c.reduce_base = 2;
   c.reduce_increment = 1;
   if (c.inprocess_interval != 0) c.inprocess_interval = 1;
@@ -99,11 +99,12 @@ bool contains(const std::vector<Lit>& lits, Lit l) {
 }
 
 TEST(SatDifferential, BinaryHeavyIncrementalMatchesBruteForce) {
-  for (unsigned member = 0; member < 5; ++member) {
-    Rng rng(0xb1a7 + member);
+  std::uint64_t seed = 0xb1a7;
+  for (const testing::Variant& variant : testing::solver_variants()) {
+    Rng rng(seed++);
     for (int round = 0; round < 300; ++round) {
       const int nvars = 3 + static_cast<int>(rng.below(10));  // 3..12
-      Solver s(stressed_config(member));
+      Solver s(stressed_config(variant.config));
       for (int v = 0; v < nvars; ++v) s.new_var();
       Oracle oracle(nvars);
       for (int batch = 0; batch < 16; ++batch) {
@@ -120,28 +121,28 @@ TEST(SatDifferential, BinaryHeavyIncrementalMatchesBruteForce) {
 
         const SolveResult r = s.solve(assumptions);
         const bool expect_sat = oracle.satisfiable(assumptions);
-        ASSERT_NE(r, SolveResult::Unknown) << "member " << member << " round " << round;
+        ASSERT_NE(r, SolveResult::Unknown) << variant.name << " round " << round;
         ASSERT_EQ(r == SolveResult::Sat, expect_sat)
-            << "member " << member << " round " << round << " batch " << batch;
+            << variant.name << " round " << round << " batch " << batch;
         if (r == SolveResult::Sat) {
           ASSERT_TRUE(oracle.model_ok(s))
-              << "member " << member << " round " << round << " batch " << batch;
+              << variant.name << " round " << round << " batch " << batch;
           for (const Lit a : assumptions) ASSERT_TRUE(s.model_value(a));
         } else {
           const std::vector<Lit>& failed = s.failed_assumptions();
           for (const Lit l : failed)
             ASSERT_TRUE(contains(assumptions, l))
-                << "member " << member << " round " << round << " batch " << batch
+                << variant.name << " round " << round << " batch " << batch
                 << ": failed literal is not an assumption";
           ASSERT_FALSE(oracle.satisfiable(failed))
-              << "member " << member << " round " << round << " batch " << batch
+              << variant.name << " round " << round << " batch " << batch
               << ": failed assumptions are satisfiable with the clauses";
         }
 
         // The plain formula, too; once it is Unsat the solver stays so.
         const SolveResult plain = s.solve();
         ASSERT_EQ(plain == SolveResult::Sat, oracle.satisfiable({}))
-            << "member " << member << " round " << round << " batch " << batch;
+            << variant.name << " round " << round << " batch " << batch;
         if (plain == SolveResult::Unsat) break;
         ASSERT_TRUE(oracle.model_ok(s));
       }

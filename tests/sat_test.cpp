@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sat/solver.hpp"
+#include "solver_variants.hpp"
 #include "util/rng.hpp"
 
 namespace sepe::sat {
@@ -200,59 +201,10 @@ TEST_P(SatRandomTest, AgreesWithBruteForceOnRandom3Sat) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest, ::testing::Range(1, 9));
 
-// --- SolverConfig: round-trip, portfolio members, verdict agreement ---
+// --- SolverConfig variants: verdict agreement ---
 
-TEST(SolverConfig, DefaultRoundTripsThroughString) {
-  const SolverConfig c;
-  const auto parsed = SolverConfig::from_string(c.to_string());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, c);
-}
-
-TEST(SolverConfig, EveryPortfolioMemberRoundTrips) {
-  for (unsigned i = 0; i < 8; ++i) {
-    const SolverConfig c = SolverConfig::portfolio_member(i);
-    const auto parsed = SolverConfig::from_string(c.to_string());
-    ASSERT_TRUE(parsed.has_value()) << c.to_string();
-    EXPECT_EQ(*parsed, c) << c.to_string();
-  }
-}
-
-TEST(SolverConfig, MemberZeroIsTheDefault) {
-  EXPECT_EQ(SolverConfig::portfolio_member(0), SolverConfig{});
-}
-
-TEST(SolverConfig, MembersAreDiverse) {
-  // The first four members must be pairwise distinct configurations.
-  for (unsigned i = 0; i < 4; ++i)
-    for (unsigned j = i + 1; j < 4; ++j)
-      EXPECT_NE(SolverConfig::portfolio_member(i), SolverConfig::portfolio_member(j))
-          << i << " vs " << j;
-}
-
-TEST(SolverConfig, FromStringRejectsMalformedText) {
-  EXPECT_FALSE(SolverConfig::from_string("").has_value());
-  EXPECT_FALSE(SolverConfig::from_string("decay=0.9").has_value());
-  // Unknown tails, including the retired ";slbd=" / ";simp=" knobs.
-  for (const char* tail : {";junk", ";slbd=10", ";simp=1000"})
-    EXPECT_FALSE(SolverConfig::from_string(SolverConfig{}.to_string() + tail).has_value())
-        << tail;
-  // Unknown restart policy name.
-  std::string s = SolverConfig{}.to_string();
-  const auto pos = s.find("restart=luby");
-  ASSERT_NE(pos, std::string::npos);
-  s.replace(pos, 12, "restart=never");
-  EXPECT_FALSE(SolverConfig::from_string(s).has_value());
-  // A zero reduction cadence (reduce after every conflict) is rejected.
-  std::string zero_reduce = SolverConfig{}.to_string();
-  const auto rpos = zero_reduce.find("reduce=");
-  ASSERT_NE(rpos, std::string::npos);
-  zero_reduce.replace(rpos, std::string::npos, "reduce=0+0");
-  EXPECT_FALSE(SolverConfig::from_string(zero_reduce).has_value());
-}
-
-/// Pigeonhole: n+1 pigeons into n holes (UNSAT) — every portfolio member
-/// must agree, whatever its restart/decay/phase/random-branch policy.
+/// Pigeonhole: n+1 pigeons into n holes (UNSAT) — every config variant
+/// must agree, whichever inprocessing stages it runs.
 void add_pigeonhole(Solver& s, int holes) {
   const int pigeons = holes + 1;
   std::vector<std::vector<int>> var(pigeons, std::vector<int>(holes));
@@ -269,16 +221,16 @@ void add_pigeonhole(Solver& s, int holes) {
         s.add_clause(Lit(var[p1][h], true), Lit(var[p2][h], true));
 }
 
-TEST(SolverConfig, AllMembersRefutePigeonhole) {
-  for (unsigned i = 0; i < 4; ++i) {
-    Solver s(SolverConfig::portfolio_member(i));
+TEST(SolverConfig, AllVariantsRefutePigeonhole) {
+  for (const testing::Variant& variant : testing::solver_variants()) {
+    Solver s(variant.config);
     add_pigeonhole(s, 5);
-    EXPECT_EQ(s.solve(), SolveResult::Unsat) << "member " << i;
+    EXPECT_EQ(s.solve(), SolveResult::Unsat) << variant.name;
   }
 }
 
-TEST(SolverConfig, AllMembersAgreeOnRandom3Sat) {
-  // Random 3-SAT at the satisfiability threshold: every member must
+TEST(SolverConfig, AllVariantsAgreeOnRandom3Sat) {
+  // Random 3-SAT at the satisfiability threshold: every variant must
   // return the same verdict as the default solver, and Sat models must
   // satisfy the clauses.
   Rng rng(0xc0ffee);
@@ -293,23 +245,23 @@ TEST(SolverConfig, AllMembersAgreeOnRandom3Sat) {
       clauses.push_back(cl);
     }
     SolveResult reference = SolveResult::Unknown;
-    for (unsigned i = 0; i < 4; ++i) {
-      Solver s(SolverConfig::portfolio_member(i));
+    for (const testing::Variant& variant : testing::solver_variants()) {
+      Solver s(variant.config);
       for (int v = 0; v < nvars; ++v) s.new_var();
       bool root_conflict = false;
       for (const auto& cl : clauses)
         if (!s.add_clause(cl)) root_conflict = true;
       const SolveResult r = root_conflict ? SolveResult::Unsat : s.solve();
-      if (i == 0) {
+      if (reference == SolveResult::Unknown) {
         reference = r;
       } else {
-        EXPECT_EQ(r, reference) << "member " << i << " round " << round;
+        EXPECT_EQ(r, reference) << variant.name << " round " << round;
       }
       if (r == SolveResult::Sat) {
         for (const auto& cl : clauses) {
           bool sat = false;
           for (Lit l : cl) sat |= s.model_value(l);
-          EXPECT_TRUE(sat) << "member " << i << " model violates a clause";
+          EXPECT_TRUE(sat) << variant.name << " model violates a clause";
         }
       }
     }

@@ -5,7 +5,7 @@
 // untouched: the same decisions, trail, learnt clauses and watch order,
 // hence the same counters. These fixed, seeded workloads record the exact
 // num_conflicts / num_decisions / num_propagations (and the inprocessing
-// counters) each portfolio member reaches. Any drift means the search
+// counters) each named solver variant reaches. Any drift means the search
 // changed; re-record the table only for a change that is meant to alter
 // the search (docs/SOLVER.md, "Search-identical changes").
 #include <gtest/gtest.h>
@@ -14,9 +14,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sat/solver.hpp"
+#include "solver_variants.hpp"
 #include "util/rng.hpp"
 
 namespace sepe::sat {
@@ -37,7 +39,7 @@ const char* workload_name(Workload w) {
 /// counters after the last call, and an FNV-1a digest of every verdict,
 /// model, conflict count and decision count along the way.
 struct Pin {
-  unsigned member;
+  std::string_view variant;
   Workload workload;
   unsigned sat;
   unsigned unsat;
@@ -52,10 +54,9 @@ struct Pin {
   bool operator==(const Pin&) const = default;
 };
 
-/// The portfolio member with its reduction and inprocessing cadences cut
-/// so both fire many times within a few thousand conflicts.
-SolverConfig pinned_config(unsigned member) {
-  SolverConfig c = SolverConfig::portfolio_member(member);
+/// The variant with its reduction and inprocessing cadences cut so both
+/// fire many times within a few thousand conflicts.
+SolverConfig pinned_config(SolverConfig c) {
   c.reduce_base = 300;
   c.reduce_increment = 150;
   if (c.inprocess_interval != 0) c.inprocess_interval = 400;
@@ -78,8 +79,8 @@ std::vector<Lit> random_clause(Rng& rng, int nvars, unsigned binary_pct) {
 
 class Recorder {
  public:
-  Recorder(const Solver& s, unsigned member, Workload w) : s_(s) {
-    pin_.member = member;
+  Recorder(const Solver& s, std::string_view variant, Workload w) : s_(s) {
+    pin_.variant = variant;
     pin_.workload = w;
     pin_.digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   }
@@ -118,9 +119,9 @@ class Recorder {
   Pin pin_{};
 };
 
-Pin run_workload(unsigned member, Workload w) {
-  Solver s(pinned_config(member));
-  Recorder rec(s, member, w);
+Pin run_workload(const testing::Variant& v, Workload w) {
+  Solver s(pinned_config(v.config));
+  Recorder rec(s, v.name, w);
   Rng rng(0x5e9e5e9e + static_cast<std::uint64_t>(w));
   switch (w) {
     case kMixed: {
@@ -166,47 +167,47 @@ Pin run_workload(unsigned member, Workload w) {
 std::string row_text(const Pin& p) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "{%u, %s, %u, %u, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                "{\"%.*s\", %s, %u, %u, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
                 ", %" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64 "ULL},",
-                p.member, workload_name(p.workload), p.sat, p.unsat, p.conflicts,
+                static_cast<int>(p.variant.size()), p.variant.data(),
+                workload_name(p.workload), p.sat, p.unsat, p.conflicts,
                 p.decisions, p.propagations, p.eliminated, p.subsumed, p.vivified,
                 p.digest);
   return buf;
 }
 
-// Recorded before the search-identical hot-path rework of the solver
-// (implicit binary watches, literal-indexed values, poisoned
-// minimization); that rework had to reproduce every row exactly.
+// The default rows were recorded before the search-identical hot-path
+// rework of the solver (implicit binary watches, literal-indexed values,
+// poisoned minimization), which had to reproduce them exactly. The other
+// variants were recorded on that reworked solver before its portfolio
+// presets and their knobs were deleted.
 constexpr Pin kPins[] = {
-    {0, kMixed, 0, 1, 3153, 3927, 199328, 26, 17, 2, 0x29e3c0165ff06a2fULL},
-    {0, kIncremental, 7, 1, 680, 1156, 38221, 12, 7, 1, 0xd0edc3e89de34b0fULL},
-    {0, kAssumptions, 3, 37, 1387, 1787, 68942, 36, 11, 1, 0xaf5678a4235ff51aULL},
-    {1, kMixed, 0, 1, 2373, 2903, 155015, 26, 17, 0, 0x572af991f748b960ULL},
-    {1, kIncremental, 7, 1, 720, 1221, 41607, 12, 7, 1, 0x3eabc5e060a32b7fULL},
-    {1, kAssumptions, 3, 37, 1370, 1727, 69855, 36, 11, 1, 0x68e6bf0b7c546d39ULL},
-    {2, kMixed, 0, 1, 3047, 3918, 186492, 26, 17, 0, 0xb6f4935a39b3ec0dULL},
-    {2, kIncremental, 7, 1, 770, 1329, 41012, 12, 7, 0, 0x927dbae1e892c27bULL},
-    {2, kAssumptions, 3, 37, 1406, 1857, 68602, 35, 10, 0, 0xbe62eec65a6dc7a2ULL},
-    {3, kMixed, 0, 1, 2548, 3098, 166759, 0, 0, 0, 0x351da9295691b4cdULL},
-    {3, kIncremental, 7, 1, 1224, 1784, 66114, 0, 0, 0, 0x4af31b4c92b33643ULL},
-    {3, kAssumptions, 3, 37, 1485, 1910, 74679, 0, 0, 0, 0x39fe986869af273bULL},
-    {4, kMixed, 0, 1, 3573, 4482, 223457, 26, 17, 2, 0x92c4284601600de3ULL},
-    {4, kIncremental, 7, 1, 911, 1521, 58428, 23, 12, 106, 0xecc230fabd654a75ULL},
-    {4, kAssumptions, 3, 37, 1362, 1815, 67335, 36, 11, 1, 0xbddb2f1474e980e1ULL},
+    {"default", kMixed, 0, 1, 3153, 3927, 199328, 26, 17, 2, 0x29e3c0165ff06a2fULL},
+    {"default", kIncremental, 7, 1, 680, 1156, 38221, 12, 7, 1, 0xd0edc3e89de34b0fULL},
+    {"default", kAssumptions, 3, 37, 1387, 1787, 68942, 36, 11, 1, 0xaf5678a4235ff51aULL},
+    {"no_inprocess", kMixed, 0, 1, 2814, 3572, 174404, 0, 0, 0, 0x71fc0eb900b53967ULL},
+    {"no_inprocess", kIncremental, 7, 1, 696, 1191, 37399, 0, 0, 0, 0xa4c3312aeddaa47cULL},
+    {"no_inprocess", kAssumptions, 3, 37, 1360, 1787, 70072, 0, 0, 0, 0x555439ab29d0bd24ULL},
+    {"no_vivify", kMixed, 0, 1, 2741, 3446, 167793, 26, 17, 0, 0x346368214d3b2da6ULL},
+    {"no_vivify", kIncremental, 7, 1, 642, 1118, 34160, 12, 7, 0, 0xd031f011edb2309fULL},
+    {"no_vivify", kAssumptions, 3, 37, 1261, 1654, 62928, 35, 10, 0, 0xa33f1a66b4ce9142ULL},
+    {"no_bve", kMixed, 0, 1, 3017, 3814, 198788, 0, 11, 1, 0xf6c817e7bf5f4da8ULL},
+    {"no_bve", kIncremental, 7, 1, 730, 1216, 39452, 0, 7, 1, 0xb4474943bf890ab9ULL},
+    {"no_bve", kAssumptions, 3, 37, 1261, 1645, 65928, 0, 8, 1, 0x833f807d26021480ULL},
 };
 
 TEST(SearchPin, CountersMatchTheRecordedSearch) {
   std::string table;
   bool all_match = true;
-  for (unsigned member = 0; member < 5; ++member) {
+  for (const testing::Variant& v : testing::solver_variants()) {
     for (const Workload w : {kMixed, kIncremental, kAssumptions}) {
-      const Pin got = run_workload(member, w);
+      const Pin got = run_workload(v, w);
       table += "    " + row_text(got) + "\n";
       const Pin* want = nullptr;
       for (const Pin& p : kPins)
-        if (p.member == member && p.workload == w) want = &p;
+        if (p.variant == v.name && p.workload == w) want = &p;
       if (want == nullptr) {
-        ADD_FAILURE() << "no pin for member " << member << " " << workload_name(w);
+        ADD_FAILURE() << "no pin for variant " << v.name << " " << workload_name(w);
         all_match = false;
         continue;
       }
@@ -220,13 +221,13 @@ TEST(SearchPin, CountersMatchTheRecordedSearch) {
 
 TEST(SearchPin, WorkloadsExerciseEveryMechanism) {
   // The pins only guard what the workloads reach: conflicts on every
-  // member, both verdicts, and inprocessing wherever the member runs it.
+  // variant, both verdicts, and inprocessing wherever the variant runs it.
   unsigned sat = 0, unsat = 0;
   for (const Pin& p : kPins) {
     EXPECT_GT(p.conflicts, 500u) << row_text(p);
     sat += p.sat;
     unsat += p.unsat;
-    if (pinned_config(p.member).inprocess_interval != 0) {
+    if (p.variant != "no_inprocess") {
       EXPECT_GT(p.subsumed + p.eliminated, 0u) << row_text(p);
     }
   }

@@ -51,14 +51,18 @@ expect_usage_error duplicate_bug     -- --bugs add_carry_stuck,add_carry_stuck
 expect_usage_error bad_mode          -- --modes sideways
 expect_usage_error shard_malformed   -- --shard 4of4
 expect_usage_error shard_range       -- --shard 4/4
-expect_usage_error portfolio_zero    -- --portfolio 0
-expect_usage_error portfolio_huge    -- --portfolio 99
 expect_usage_error unknown_flag      -- --frobnicate
 # The retired learnt-clause sharing flag is an unknown flag, not a no-op
 # (--list-bugs would exit 0 if the flag were still accepted).
 expect_usage_error retired_sharing_flag -- --share-clauses on --list-bugs
 if ! grep -q "unknown flag '--share-clauses'" "$WORK/retired_sharing_flag.stderr"; then
   echo "FAIL: retired_sharing_flag: diagnostic does not name the unknown flag"
+  FAILURES=$((FAILURES + 1))
+fi
+# Likewise the retired in-job solver portfolio flag.
+expect_usage_error retired_portfolio_flag -- --portfolio 2 --list-bugs
+if ! grep -q "unknown flag '--portfolio'" "$WORK/retired_portfolio_flag.stderr"; then
+  echo "FAIL: retired_portfolio_flag: diagnostic does not name the unknown flag"
   FAILURES=$((FAILURES + 1))
 fi
 expect_usage_error merge_no_inputs   -- merge
@@ -129,21 +133,6 @@ for bad in "shard0.json shard1.json" "shard0.json shard0.json shard1.json"; do
     FAILURES=$((FAILURES + 1))
   fi
 done
-
-# Portfolio racing must not change the stable report: same campaign with
-# --portfolio 3 is byte-identical to the single-config reference.
-if ! "$SEPE_RUN" "${CAMPAIGN[@]}" --threads 1 --portfolio 3 \
-    --json "$WORK/portfolio.json" >/dev/null; then
-  echo "FAIL: portfolio run"
-  FAILURES=$((FAILURES + 1))
-fi
-if cmp -s "$WORK/reference.json" "$WORK/portfolio.json"; then
-  echo "ok: --portfolio 3 stable JSON is byte-identical to single-config"
-else
-  echo "FAIL: portfolio report differs from the single-config reference:"
-  diff "$WORK/reference.json" "$WORK/portfolio.json"
-  FAILURES=$((FAILURES + 1))
-fi
 
 # Checkpoint/resume: a second run against the finished journal does no
 # solving and reproduces the same stable JSON.

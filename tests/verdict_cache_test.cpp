@@ -110,7 +110,6 @@ TEST(VerdictCacheFormat, KeySeparatesEveryVerdictDeterminant) {
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.max_k = 4; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.conflict_budget = 100; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.race_k_induction = false; }));
-  EXPECT_TRUE(differs([](JobSpec& j) { j.budget.portfolio = 2; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.sequential_provers = true; }));
   EXPECT_TRUE(differs([](JobSpec& j) { j.budget.plaisted_greenbaum = true; }));
   EXPECT_NE(VerdictCache::key_of(base, "other-fp"), k0);

@@ -105,10 +105,7 @@ void usage() {
       "  --bound N        BMC bound sweep limit (default 10)\n"
       "  --max-k N        k-induction depth limit (default 10)\n"
       "  --no-race        disable the k-induction prover (BMC only)\n"
-      "  --portfolio N    race N differently-configured CDCL instances per\n"
-      "                   prover inside each job (default 1; verdicts stay\n"
-      "                   deterministic — see src/engine/campaign.hpp)\n"
-      "  --encoding E     bit-blasting encoding: auto | tseitin | pg\n"
+          "  --encoding E     bit-blasting encoding: auto | tseitin | pg\n"
       "                   (default auto = the workload family's default:\n"
       "                   Tseitin for QED, Plaisted-Greenbaum for corpus)\n"
       "  --backend B      SAT engine: native | dimacs (default native; dimacs\n"
@@ -264,7 +261,6 @@ struct CommonOptions {
   unsigned threads = 0;
   unsigned bound = 10;
   unsigned max_k = 10;
-  unsigned portfolio = 1;
   bool race = true;
   bool stable_json = false;
   bool print_witness = false;
@@ -289,7 +285,6 @@ struct CommonOptions {
     b.conflict_budget = conflicts;
     b.max_seconds = time_cap;
     b.memory_limit_mb = memory_mb;
-    b.portfolio = portfolio;
     b.plaisted_greenbaum = plaisted_greenbaum;
     b.backend = backend;
     return b;
@@ -314,8 +309,6 @@ bool parse_common_flag(int& i, int argc, char** argv, CommonOptions* o) {
     o->max_k = parse_unsigned_arg("--max-k", next("--max-k"), 0);
   else if (!std::strcmp(argv[i], "--no-race"))
     o->race = false;
-  else if (!std::strcmp(argv[i], "--portfolio"))
-    o->portfolio = parse_unsigned_arg("--portfolio", next("--portfolio"), 1, 16);
   else if (!std::strcmp(argv[i], "--encoding")) {
     const char* value = next("--encoding");
     if (!std::strcmp(value, "auto"))
