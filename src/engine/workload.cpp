@@ -128,11 +128,7 @@ CampaignSpec expand(const CampaignMatrix& matrix, std::uint64_t seed) {
 
 // --- BTOR2 corpus family ---
 
-namespace {
-
-/// FNV-1a of the file bytes, as 16 hex digits. The per-file content
-/// fingerprint the checkpoint spec digest covers.
-std::string content_digest_of(const std::string& text) {
+std::string content_digest(const std::string& text) {
   std::uint64_t h = 1469598103934665603ull;
   for (char c : text) {
     h ^= static_cast<unsigned char>(c);
@@ -142,6 +138,8 @@ std::string content_digest_of(const std::string& text) {
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
   return hex;
 }
+
+namespace {
 
 /// Count `<id> bad <cond>` lines with the parser's own tokenization
 /// (comment stripped first), so the fan-out matches what parse_btor2
@@ -197,7 +195,7 @@ bool Btor2CorpusSource::expand(std::vector<JobSpec>* out, std::string* error) co
     // without the bytes there is nothing to hash, so a checkpoint could
     // not tell this corpus from an edited one.
     if (!text) return fail("cannot read corpus file '" + rel + "'");
-    const std::string digest = content_digest_of(*text);
+    const std::string digest = content_digest(*text);
     const unsigned properties = std::max(1u, count_bad_properties(*text));
     for (unsigned p = 0; p < properties; ++p) {
       JobSpec job;
@@ -225,7 +223,7 @@ bool Btor2CorpusSource::expand(std::vector<JobSpec>* out, std::string* error) co
           *build_error = "corpus file vanished or became unreadable";
           return false;
         }
-        if (content_digest_of(*bytes) != digest) {
+        if (content_digest(*bytes) != digest) {
           *build_error = "corpus file changed since campaign expansion "
                          "(content digest mismatch)";
           return false;

@@ -56,6 +56,11 @@ class JobSource {
 std::optional<CampaignSpec> expand_source(const JobSource& source, std::uint64_t seed,
                                           std::string* error);
 
+/// FNV-1a of `text`, as 16 hex digits: the per-file content digest of
+/// corpus jobs, and the digest of the EDSEP-V equivalence programs that
+/// sepe-run folds into its QED fingerprint.
+std::string content_digest(const std::string& text);
+
 // --- the QED family (the paper's experiments) ---
 
 /// Short QED-mode tag for job names and report columns ("EDDI-V" /

@@ -56,6 +56,11 @@ bool is_div_family(Opcode op) {
 }
 bool is_load(Opcode op) { return op == Opcode::LW; }
 bool is_store(Opcode op) { return op == Opcode::SW; }
+bool is_commutative(Opcode op) {
+  return op == Opcode::ADD || op == Opcode::AND || op == Opcode::OR ||
+         op == Opcode::XOR || op == Opcode::MUL || op == Opcode::MULH ||
+         op == Opcode::MULHU;
+}
 bool writes_register(Opcode op) { return op != Opcode::SW && op != Opcode::NOP; }
 
 Instruction Instruction::rtype(Opcode op, unsigned rd, unsigned rs1, unsigned rs2) {

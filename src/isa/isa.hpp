@@ -46,6 +46,8 @@ bool is_mul_family(Opcode op);
 bool is_div_family(Opcode op);
 bool is_load(Opcode op);
 bool is_store(Opcode op);
+/// An R-type opcode whose result is symmetric in rs1 and rs2.
+bool is_commutative(Opcode op);
 /// Writes a general-purpose register (everything except SW and NOP).
 bool writes_register(Opcode op);
 

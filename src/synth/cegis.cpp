@@ -1,9 +1,9 @@
 #include "synth/cegis.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "util/stopwatch.hpp"
 
@@ -101,16 +101,21 @@ SynthesisResult hpf_cegis(const SynthSpec& spec, const std::vector<Component>& l
 
   while (!multisets.empty() && !reached_target(result, opts, clock)) {
     // SORTED(MULTISETS, PRIORITY_DICT, g); S <- MULTISETS[0]  (lines 9-10)
-    // A full sort is what the paper specifies; taking max_element is the
-    // same selection with one pass. The chosen multiset is then removed so
-    // each is attempted at most once per instruction.
-    auto best = std::max_element(
-        multisets.begin(), multisets.end(),
-        [&](const std::vector<unsigned>& a, const std::vector<unsigned>& b) {
-          return dict.priority(a, spec, lib) < dict.priority(b, spec, lib);
-        });
-    const std::vector<unsigned> chosen = *best;
-    *best = std::move(multisets.back());
+    // A full sort is what the paper specifies; one scan that keeps the
+    // first maximum is the same selection, with each priority evaluated
+    // once. The chosen multiset is then removed so each is attempted at
+    // most once per instruction.
+    std::size_t best = 0;
+    double best_priority = dict.priority(multisets[0], spec, lib);
+    for (std::size_t i = 1; i < multisets.size(); ++i) {
+      const double p = dict.priority(multisets[i], spec, lib);
+      if (best_priority < p) {
+        best = i;
+        best_priority = p;
+      }
+    }
+    const std::vector<unsigned> chosen = std::move(multisets[best]);
+    multisets[best] = std::move(multisets.back());
     multisets.pop_back();
 
     if (attempt_multiset(spec, chosen, lib, opts, result, seen)) {

@@ -222,11 +222,13 @@ class MultisetEncoder {
         reg_idx_(reg_input_indices(spec)),
         m_(static_cast<unsigned>(reg_idx_.size())),
         n_(static_cast<unsigned>(multiset.size())),
-        loc_bits_(bits_for(m_ + n_ + 1)) {
+        loc_bits_(bits_for(m_ + n_ + 1)),
+        identity_excluded_(n_, false) {
     build_location_variables();
     assert_wfp();
     if (options_.exclude_identity) assert_identity_exclusion();
     if (options_.forbid_output_op) assert_output_op_differs();
+    assert_symmetry_breaking();
   }
 
   /// Add one concrete example (counterexample) to the synthesis constraints.
@@ -244,6 +246,7 @@ class MultisetEncoder {
   void assert_wfp();
   void assert_identity_exclusion();
   void assert_output_op_differs();
+  void assert_symmetry_breaking();
 
   const SynthSpec& spec_;
   const std::vector<const Component*>& comps_;
@@ -259,6 +262,7 @@ class MultisetEncoder {
   std::vector<std::vector<TermRef>> attr_const_;        // per line, per attr
   std::vector<std::vector<TermRef>> attr_sel_;  // per line, per attr (may be null)
   std::vector<std::vector<std::vector<unsigned>>> attr_cands_;  // candidates per attr
+  std::vector<bool> identity_excluded_;  // per line: §4.1 constrains its wiring
 };
 
 void MultisetEncoder::build_location_variables() {
@@ -367,6 +371,20 @@ void MultisetEncoder::assert_identity_exclusion() {
       continue;
     }
     solver_.assert_formula(mgr_.mk_not(mgr_.mk_and_many(identical)));
+    identity_excluded_[j] = true;
+  }
+}
+
+void MultisetEncoder::assert_symmetry_breaking() {
+  // Constraints (a) and (b) of the header, with their soundness argument
+  // there. Runs after assert_identity_exclusion, whose lines (b) skips.
+  for (unsigned j = 0; j < n_; ++j) {
+    if (j + 1 < n_ && comps_[j] == comps_[j + 1])  // (a)
+      solver_.assert_formula(mgr_.mk_ult(out_loc_[j], out_loc_[j + 1]));
+    const Component& c = *comps_[j];  // (b)
+    if (c.expansion.size() == 1 && c.num_inputs == 2 &&
+        isa::is_commutative(c.expansion[0].op) && !identity_excluded_[j])
+      solver_.assert_formula(mgr_.mk_ule(in_loc_[j][0], in_loc_[j][1]));
   }
 }
 

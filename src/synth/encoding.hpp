@@ -18,7 +18,22 @@
 //     self-duplication);
 //   * internal attributes (DIC/CIC immediates) are solved constants,
 //     optionally *passthrough-wired* to the original instruction's own
-//     immediate operand of the same width class.
+//     immediate operand of the same width class;
+//   * symmetry breaking, which [11] and [12] do not have:
+//       (a) when adjacent multiset entries are the same component, their
+//           output slots increase (out_loc[j] < out_loc[j+1]). Sound
+//           because swapping every variable of two identical lines maps
+//           a solution to a solution;
+//       (b) a component whose one instruction is a commutative R-type
+//           (isa::is_commutative) reads its inputs in non-decreasing
+//           location order (in_loc[0] <= in_loc[1]). Sound because
+//           swapping the two input locations leaves the line's value
+//           unchanged. Skipped on a line the identity exclusion
+//           constrains: that constraint is not swap-invariant (for spec
+//           ADD over {ADD}, ADD v0, in1, in0 is the only program).
+//     Every solution therefore has a representative satisfying both, so a
+//     multiset succeeds or fails exactly as without them; only the
+//     refutations of failing multisets shrink.
 //
 // cegis_multiset() runs the full CEGIS refinement loop (synthesize over
 // accumulated examples -> verify candidate -> add counterexample) for one

@@ -1,11 +1,13 @@
 // Tests for the synthesis engine: the multiset CEGIS core (encoding +
-// refinement loop), the identity-exclusion constraint, the three search
-// drivers (classical / iterative / HPF), the priority bookkeeping of
-// Algorithm 1, and the equivalence table.
+// refinement loop), the identity-exclusion constraint, the symmetry
+// breaking of the encoding, the three search drivers (classical /
+// iterative / HPF), the priority bookkeeping of Algorithm 1, and the
+// equivalence table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "isa/semantics.hpp"
 #include "sim/iss.hpp"
 #include "synth/cegis.hpp"
 #include "util/rng.hpp"
@@ -150,6 +152,48 @@ TEST(CegisMultiset, SubIsExpressibleWithSubDifferently) {
   EXPECT_TRUE(verify_program(*program, 8));
 }
 
+TEST(CegisMultiset, IdentityExclusionKeepsTheOperandSwap) {
+  // Symmetry breaking orders a commutative component's operands, except
+  // where §4.1 forbids one wiring: for spec ADD over {ADD} the verbatim
+  // wiring is excluded and the swapped one is the only program left.
+  const auto lib = make_standard_library();
+  const SynthSpec spec = make_spec(Opcode::ADD);
+  const auto program = cegis_multiset(spec, {by_name(lib, "ADD")}, fast_cegis());
+  ASSERT_TRUE(program.has_value());
+  EXPECT_TRUE(verify_program(*program, 8));
+  ASSERT_EQ(program->lines.size(), 1u);
+  EXPECT_EQ(program->lines[0].input_locs, (std::vector<unsigned>{1, 0}));
+}
+
+TEST(Commutativity, PredicateIsExactOverRTypeOpcodes) {
+  // The encoding orders the operands of exactly the opcodes
+  // isa::is_commutative names; prove each verdict at two widths.
+  for (int i = 0; i < isa::kNumOpcodes; ++i) {
+    const auto op = static_cast<Opcode>(i);
+    if (!isa::is_rtype(op)) continue;
+    for (unsigned xlen : {4u, 8u}) {
+      smt::TermManager mgr;
+      smt::SmtSolver solver(mgr);
+      const smt::TermRef a = mgr.mk_var("a", xlen), b = mgr.mk_var("b", xlen);
+      solver.assert_formula(mgr.mk_ne(isa::alu_symbolic(mgr, op, a, b),
+                                      isa::alu_symbolic(mgr, op, b, a)));
+      const smt::Result r = solver.check();
+      if (isa::is_commutative(op)) {
+        EXPECT_EQ(r, smt::Result::Unsat) << isa::opcode_name(op) << " xlen " << xlen;
+        continue;
+      }
+      ASSERT_EQ(r, smt::Result::Sat) << isa::opcode_name(op) << " xlen " << xlen;
+      // Replay the counterexample concretely.
+      const BitVec va = solver.value(a), vb = solver.value(b);
+      smt::TermManager cm;
+      const smt::TermRef ca = cm.mk_const(va), cb = cm.mk_const(vb);
+      EXPECT_NE(smt::eval_term(cm, isa::alu_symbolic(cm, op, ca, cb), {}),
+                smt::eval_term(cm, isa::alu_symbolic(cm, op, cb, ca), {}))
+          << isa::opcode_name(op) << " xlen " << xlen;
+    }
+  }
+}
+
 TEST(CegisMultiset, RejectsInexpressibleSpecs) {
   // AND cannot be built from ADD components alone.
   const auto lib = make_standard_library();
@@ -292,6 +336,41 @@ TEST(HpfCegis, SharedDictLearnsAcrossInstructions) {
       any_learned = true;
   }
   EXPECT_TRUE(any_learned);
+}
+
+/// HPF-CEGIS on one Fig-3 case as the hpf-synth benchmark runs it (n = 3,
+/// k = 3, xlen 4, full library, conflict budgets only), with a fresh
+/// dictionary; checks the (tried, succeeded) pair and re-proves every
+/// program.
+void expect_hpf_pin(const char* name, unsigned tried, unsigned succeeded) {
+  static const auto lib = make_standard_library();
+  static const auto cases = make_figure3_cases();
+  const SynthSpec* spec = nullptr;
+  for (const SynthSpec& c : cases)
+    if (c.name == name) spec = &c;
+  ASSERT_NE(spec, nullptr) << name;
+  DriverOptions o;
+  o.cegis.xlen = 4;
+  o.multiset_size = 3;
+  o.target_programs = 3;
+  o.max_seconds = 0.0;
+  const auto result = hpf_cegis(*spec, lib, o, HpfOptions{});
+  EXPECT_EQ(result.multisets_tried, tried) << name;
+  EXPECT_EQ(result.multisets_succeeded, succeeded) << name;
+  EXPECT_EQ(result.programs.size(), 3u) << name;
+  for (const SynthProgram& p : result.programs)
+    EXPECT_TRUE(verify_program(p, 4)) << name << ":\n" << p.to_string();
+}
+
+TEST(HpfCegis, Figure3SubsetTriesThePinnedSequence) {
+  // Symmetry breaking must keep every multiset's success or failure, so
+  // HPF makes the same weight updates and tries the same sequence. These
+  // pairs were recorded before the encoding had any symmetry breaking.
+  expect_hpf_pin("ADD", 5, 3);
+  expect_hpf_pin("SUB", 124, 3);
+  expect_hpf_pin("OR", 74, 3);
+  expect_hpf_pin("AND", 74, 3);
+  expect_hpf_pin("LW_ADDR", 51, 3);
 }
 
 TEST(IterativeCegis, FindsEquivalentsForSub) {

@@ -199,6 +199,23 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
+# EDSEP-V keys carry the digest of the synthesized equivalence table
+# (docs/FORMATS.md): it must be the same on every run, so a warm rerun
+# is served from the journal.
+EDSEP=(--bugs table1 --rows 1 --modes edsep --bound 6 --max-k 2 --threads 1)
+if ! "$SEPE_RUN" "${EDSEP[@]}" --cache "$WORK/edsep-cache" \
+      --json "$WORK/edsep-cold.json" >/dev/null \
+    || ! "$SEPE_RUN" "${EDSEP[@]}" --cache "$WORK/edsep-cache" \
+      --json "$WORK/edsep-warm.json" >/dev/null; then
+  echo "FAIL: cached EDSEP-V runs"
+  FAILURES=$((FAILURES + 1))
+elif grep -q '"from_cache": *true' "$WORK/edsep-warm.json"; then
+  echo "ok: a warm EDSEP-V rerun hits the table-keyed cache"
+else
+  echo "FAIL: a warm EDSEP-V rerun missed the cache"
+  FAILURES=$((FAILURES + 1))
+fi
+
 # An unusable cache directory is a hard error, not a silent no-cache run.
 : > "$WORK/cache-blocker"
 "$SEPE_RUN" "${CAMPAIGN[@]}" --cache "$WORK/cache-blocker/sub" \

@@ -930,6 +930,12 @@ int main(int argc, char** argv) {
                 common.shard->count);
   std::printf("\n");
 
-  return run_and_report(spec, common,
-                        "xlen=" + std::to_string(xlen) + ";modes=" + modes_arg);
+  // The EDSEP-V models embed the pinned programs, which the flags above
+  // do not determine (they are whatever the synthesis encoding finds):
+  // fold their digest in, so a checkpoint or verdict journal written for
+  // different programs is refused or misses.
+  std::string fingerprint = "xlen=" + std::to_string(xlen) + ";modes=" + modes_arg;
+  if (pinned)
+    fingerprint += ";table=" + engine::content_digest(pinned->table.to_string());
+  return run_and_report(spec, common, fingerprint);
 }
