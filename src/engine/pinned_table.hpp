@@ -14,6 +14,7 @@
 
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,8 +33,7 @@ struct PinnedTable {
   const synth::Component* comp(const std::string& name) const {
     for (const auto& c : lib)
       if (c.name == name) return &c;
-    assert(false && "unknown component");
-    return nullptr;
+    throw std::logic_error("pinned table: unknown component " + name);
   }
 
   /// Synthesize one pinned equivalence via CEGIS on a fixed multiset.
@@ -58,7 +58,9 @@ struct PinnedTable {
       o.forbid_output_op = false;
       p = synth::cegis_multiset(specs.back(), comps, o);
     }
-    assert(p.has_value() && "pinned multiset failed to synthesize");
+    // A hard error in every build: a failed multiset must never reach the
+    // table. The re-proof stays a debug check; it costs set-up time.
+    if (!p) throw std::runtime_error("pinned multiset for " + key + " failed to synthesize");
     assert(synth::verify_program(*p, synth_xlen) && "pinned program failed re-proof");
     table.add(key, std::move(*p));
   }

@@ -14,10 +14,41 @@
 //     weights e_j per component, score each multiset by
 //     priority = Σ(c_j − α·χ_j) / Σ e_j, always attempt the highest-
 //     priority multiset next, and update weights from success/failure.
+//
+// Every driver asks a MultisetRefuter before CEGIS. Most attempted
+// multisets fail, and the refuter rejects many of them without CEGIS by
+// two cheap rules. Each is sound: it refutes only multisets over which
+// no program equivalent to the spec exists, so cegis_multiset would
+// fail on them too. A refuted attempt counts as tried and failed, and
+// the drivers make exactly the search they make without the refuter.
+//
+//   * Input reachability (any multiset). The spec provably depends on an
+//     input when two concrete inputs differing only there give different
+//     outputs. (a) With require_all_outputs_used, n lines fill at least
+//     n − 1 data-input slots with line outputs, so at most
+//     Σ num_inputs − (n − 1) slots read register inputs; fewer than the
+//     spec depends on refutes. (b) An immediate input reaches a program
+//     only through a passthrough attribute (passthrough_candidates); a
+//     depended-on immediate that no attribute can carry refutes.
+//   * Concrete wirings (attribute-free multisets only). Every slot order
+//     of the lines and every choice of each data input from an earlier
+//     location, dead code allowed: a superset of the programs the
+//     encoding admits, which adds the no-dead-code rule, the §4.1
+//     exclusion, forbid_output_op and symmetry breaking. Each wiring runs
+//     on fixed examples (CEGIS's two seeds plus six patterns that give
+//     the registers distinct values), with component values from each
+//     component's own semantics over constants. If no wiring matches the
+//     spec on every example, none matches it on all inputs. A search
+//     larger than a fixed evaluation budget is abandoned unrefuted.
+//
+// Multisets with internal attributes stay with CEGIS: an attribute
+// ranges over up to 2^20 constants, so enumerating their programs
+// concretely costs more than the SAT query it would replace.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,6 +109,32 @@ class PriorityDict {
   HpfOptions opts_;
   std::vector<int> choice_;
   std::vector<int> exclusion_;
+};
+
+/// Refutes multisets of one spec without CEGIS (the rules in the header
+/// comment). Its memos belong to the object: build one per driver call
+/// and use it from one thread.
+class MultisetRefuter {
+ public:
+  MultisetRefuter(const SynthSpec& spec, const CegisOptions& options);
+  ~MultisetRefuter();
+
+  /// Per spec input: does the spec provably depend on it?
+  const std::vector<bool>& essential_inputs() const;
+
+  /// The input-reachability rule alone.
+  bool unreachable(const std::vector<const Component*>& multiset) const;
+
+  /// Both rules: true only when no program over `multiset` is
+  /// equivalent to the spec.
+  bool refutes(const std::vector<const Component*>& multiset);
+
+ private:
+  struct Wirings;
+  SynthSpec spec_;
+  bool all_outputs_used_;
+  std::vector<bool> essential_;
+  std::unique_ptr<Wirings> wirings_;
 };
 
 /// Enumerate all size-n multisets of component indices

@@ -21,6 +21,8 @@ std::vector<unsigned> reg_input_indices(const SynthSpec& spec) {
   return idx;
 }
 
+}  // namespace
+
 /// Indices of the spec's inputs a component attribute may passthrough.
 /// Same-class always matches; additionally an Imm12 attribute may take a
 /// Shamt5 spec input zero-extended — this is what lets the synthesizer
@@ -39,6 +41,8 @@ std::vector<unsigned> passthrough_candidates(const SynthSpec& spec, AttrClass cl
   }
   return idx;
 }
+
+namespace {
 
 /// Widen a passthrough source term onto the attribute's width (Shamt5 ->
 /// Imm12 zero-extension; same width is the identity).
@@ -483,21 +487,26 @@ std::optional<SynthProgram> MultisetEncoder::solve_candidate() {
 
 }  // namespace
 
-std::optional<SynthProgram> cegis_multiset(const SynthSpec& spec,
-                                           const std::vector<const Component*>& multiset,
-                                           const CegisOptions& options,
-                                           CegisStats* stats) {
-  MultisetEncoder encoder(spec, multiset, options);
-
-  // Seed examples: corner values plus a mixed pattern; real CEGIS
-  // counterexamples arrive from the verifier below.
-  const unsigned xlen = options.xlen;
+std::vector<std::vector<BitVec>> seed_examples(const SynthSpec& spec, unsigned xlen) {
+  // Corner values plus a mixed pattern.
   std::vector<std::vector<BitVec>> seeds(2);
   for (InputClass ic : spec.inputs) {
     const unsigned w = input_class_width(ic, xlen);
     seeds[0].push_back(BitVec(w, 1));
     seeds[1].push_back(BitVec(w, 0x5a5a5a5a5a5a5a5aULL));
   }
+  return seeds;
+}
+
+std::optional<SynthProgram> cegis_multiset(const SynthSpec& spec,
+                                           const std::vector<const Component*>& multiset,
+                                           const CegisOptions& options,
+                                           CegisStats* stats) {
+  MultisetEncoder encoder(spec, multiset, options);
+
+  // Real CEGIS counterexamples arrive from the verifier below.
+  const unsigned xlen = options.xlen;
+  const auto seeds = seed_examples(spec, xlen);
   for (const auto& s : seeds) encoder.add_example(s);
 
   for (unsigned iter = 0; iter < options.max_iterations; ++iter) {

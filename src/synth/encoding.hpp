@@ -136,6 +136,10 @@ struct CegisStats {
   std::uint64_t solver_conflicts = 0;
 };
 
+/// The two examples every CEGIS run starts from, before any
+/// counterexample: every input 1, then every input 0x5a…5a.
+std::vector<std::vector<BitVec>> seed_examples(const SynthSpec& spec, unsigned xlen);
+
 /// CEGIS(g, S): search for a program over exactly the components of
 /// `multiset` that is semantically equivalent to `spec` for all inputs.
 /// Returns nullopt if the multiset cannot synthesize the spec (or a
@@ -144,6 +148,11 @@ std::optional<SynthProgram> cegis_multiset(const SynthSpec& spec,
                                            const std::vector<const Component*>& multiset,
                                            const CegisOptions& options,
                                            CegisStats* stats = nullptr);
+
+/// Indices of the spec inputs an attribute of class `cls` may be
+/// passthrough-wired to: the same class, or a Shamt5 input for an Imm12
+/// attribute (zero-extended).
+std::vector<unsigned> passthrough_candidates(const SynthSpec& spec, AttrClass cls);
 
 /// Exhaustive-for-all-inputs equivalence check of an already-built
 /// program against its spec (used by tests and by the width-generic

@@ -1,11 +1,12 @@
 // Tests for the synthesis engine: the multiset CEGIS core (encoding +
 // refinement loop), the identity-exclusion constraint, the symmetry
-// breaking of the encoding, the three search drivers (classical /
-// iterative / HPF), the priority bookkeeping of Algorithm 1, and the
-// equivalence table.
+// breaking of the encoding, the multiset refuter the drivers consult
+// first, the three search drivers (classical / iterative / HPF), the
+// priority bookkeeping of Algorithm 1, and the equivalence table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "isa/semantics.hpp"
 #include "sim/iss.hpp"
@@ -228,6 +229,110 @@ TEST(CegisMultiset, LoweredProgramRunsOnTheIss) {
   }
 }
 
+// --- the multiset refuter ---
+
+std::vector<const Component*> components(const std::vector<Component>& lib,
+                                         const std::vector<std::string>& names) {
+  std::vector<const Component*> out;
+  for (const std::string& name : names) out.push_back(by_name(lib, name));
+  return out;
+}
+
+TEST(MultisetRefuter, RefutedMultisetsHaveNoProgram) {
+  // Soundness: every attribute-free multiset of size <= 3 over a small
+  // subset; whatever the refuter rejects, CEGIS must fail on too.
+  const auto lib = make_standard_library();
+  const auto subset = components(lib, {"ADD", "SUB", "XOR", "SLTU", "NOT", "ADD3"});
+  for (unsigned xlen : {4u, 8u}) {
+    CegisOptions o;
+    o.xlen = xlen;
+    for (const SynthSpec& spec :
+         {make_spec(Opcode::ADD), make_spec(Opcode::XOR), make_spec(Opcode::SLTU),
+          make_spec(Opcode::SLLI), make_address_spec(Opcode::LW)}) {
+      MultisetRefuter refuter(spec, o);
+      unsigned refuted = 0, total = 0;
+      for (unsigned n = 1; n <= 3; ++n) {
+        for (const auto& idx : combinations_with_replacement(6, n)) {
+          std::vector<const Component*> multiset;
+          for (unsigned j : idx) multiset.push_back(subset[j]);
+          ++total;
+          if (!refuter.refutes(multiset)) continue;
+          ++refuted;
+          std::string names;
+          for (const Component* c : multiset) names += c->name + " ";
+          EXPECT_FALSE(cegis_multiset(spec, multiset, o).has_value())
+              << spec.name << " xlen " << xlen << " over " << names;
+        }
+      }
+      EXPECT_GT(refuted, total / 3) << spec.name << " xlen " << xlen;
+    }
+  }
+}
+
+TEST(MultisetRefuter, NeverRefutesARealizableMultiset) {
+  // The attribute-free pinned multisets of the EDSEP-V table, at widths
+  // up to 64 (MULH is modelled up to 32), and ADD3(a, b, SUB(a, a)) for
+  // ADD at xlen 32: a memo key packed as (key << xlen) | value would
+  // overflow there.
+  const auto lib = make_standard_library();
+  const std::vector<std::pair<Opcode, std::vector<std::string>>> pinned = {
+      {Opcode::ADD, {"NOT", "SUB", "NOT"}},  {Opcode::SUB, {"NOT", "ADD", "NOT"}},
+      {Opcode::XOR, {"OR", "AND", "SUB"}},   {Opcode::OR, {"ADD", "AND", "SUB"}},
+      {Opcode::AND, {"ADD", "OR", "SUB"}},   {Opcode::SRA, {"NOT", "SRA", "NOT"}},
+      {Opcode::MULH, {"MULHSU_C", "SIGNSEL", "SUB"}}};
+  for (unsigned xlen : {4u, 8u, 16u, 32u, 64u}) {
+    CegisOptions o;
+    o.xlen = xlen;
+    for (const auto& [op, names] : pinned) {
+      if (op == Opcode::MULH && xlen > 32) continue;
+      MultisetRefuter refuter(make_spec(op), o);
+      EXPECT_FALSE(refuter.refutes(components(lib, names)))
+          << isa::opcode_name(op) << " xlen " << xlen;
+    }
+  }
+  CegisOptions o;
+  o.xlen = 32;
+  const SynthSpec add = make_spec(Opcode::ADD);
+  MultisetRefuter refuter(add, o);
+  const auto multiset = components(lib, {"SUB", "ADD3"});
+  EXPECT_FALSE(refuter.refutes(multiset));
+  ASSERT_TRUE(cegis_multiset(add, multiset, o).has_value());
+}
+
+TEST(MultisetRefuter, EssentialInputs) {
+  CegisOptions o;
+  o.xlen = 4;
+  EXPECT_EQ(MultisetRefuter(make_spec(Opcode::ADD), o).essential_inputs(),
+            (std::vector<bool>{true, true}));
+  EXPECT_EQ(MultisetRefuter(make_spec(Opcode::ADDI), o).essential_inputs(),
+            (std::vector<bool>{true, true}));
+  EXPECT_EQ(MultisetRefuter(make_spec(Opcode::SLLI), o).essential_inputs(),
+            (std::vector<bool>{true, true}));
+  // LUI writes imm20 << 12, which is 0 on a 4-bit datapath.
+  EXPECT_EQ(MultisetRefuter(make_spec(Opcode::LUI), o).essential_inputs(),
+            (std::vector<bool>{false}));
+}
+
+TEST(MultisetRefuter, ReachabilityRefutesEachBranch) {
+  const auto lib = make_standard_library();
+  CegisOptions o;
+  o.xlen = 4;
+  // (a) Three one-input lines leave one free register slot; ADD needs two.
+  const SynthSpec add = make_spec(Opcode::ADD);
+  const auto addis = components(lib, {"ADDI", "ADDI", "ADDI"});
+  EXPECT_TRUE(MultisetRefuter(add, o).unreachable(addis));
+  EXPECT_FALSE(cegis_multiset(add, addis, o).has_value());
+  CegisOptions dead_code = o;
+  dead_code.require_all_outputs_used = false;
+  EXPECT_FALSE(MultisetRefuter(add, dead_code).unreachable(addis));
+  // (b) SLLI's Shamt5 attribute cannot carry ADDI's Imm12 immediate.
+  const SynthSpec addi = make_spec(Opcode::ADDI);
+  const auto no_route = components(lib, {"SLLI", "ADD", "SUB"});
+  EXPECT_TRUE(MultisetRefuter(addi, o).unreachable(no_route));
+  EXPECT_FALSE(cegis_multiset(addi, no_route, o).has_value());
+  EXPECT_FALSE(MultisetRefuter(addi, o).unreachable(components(lib, {"NOT", "NOT", "ADDI"})));
+}
+
 // --- the priority dictionary of Algorithm 1 ---
 
 TEST(PriorityDict, InitialPriorityIsUniformWithoutPenalty) {
@@ -371,6 +476,49 @@ TEST(HpfCegis, Figure3SubsetTriesThePinnedSequence) {
   expect_hpf_pin("OR", 74, 3);
   expect_hpf_pin("AND", 74, 3);
   expect_hpf_pin("LW_ADDR", 51, 3);
+}
+
+TEST(HpfCegis, RefuterKeepsThePinnedSequence) {
+  // Recorded before the drivers consulted the multiset refuter: refuted
+  // attempts must fail exactly where CEGIS failed.
+  expect_hpf_pin("XOR", 908, 3);
+  expect_hpf_pin("SLTU", 426, 3);
+}
+
+TEST(HpfCegis, ConcurrentCasesOverOneLibraryMatchSequential) {
+  // Four Fig-3 cases at once over one const library, each with its own
+  // copy of the dictionary, as the 4-thread benchmark leg runs them.
+  const auto lib = make_standard_library();
+  const auto cases = make_figure3_cases();
+  std::vector<const SynthSpec*> picked;
+  for (const SynthSpec& c : cases)
+    if (c.name == "ADD" || c.name == "OR" || c.name == "AND" || c.name == "LW_ADDR")
+      picked.push_back(&c);
+  ASSERT_EQ(picked.size(), 4u);
+  DriverOptions o;
+  o.cegis.xlen = 4;
+  o.multiset_size = 3;
+  o.target_programs = 3;
+  o.max_seconds = 0.0;
+  const HpfOptions hpf;
+  const PriorityDict start(lib.size(), hpf);
+  auto row = [](const SynthesisResult& r) {
+    std::string s = std::to_string(r.multisets_tried) + "/" +
+                    std::to_string(r.multisets_succeeded);
+    for (const SynthProgram& p : r.programs) s += " " + p.fingerprint();
+    return s;
+  };
+  std::vector<std::string> sequential, concurrent(picked.size());
+  for (const SynthSpec* spec : picked) {
+    PriorityDict dict = start;
+    sequential.push_back(row(hpf_cegis(*spec, lib, o, hpf, &dict)));
+  }
+  std::vector<PriorityDict> dicts(picked.size(), start);
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < picked.size(); ++i)
+    pool.emplace_back([&, i] { concurrent[i] = row(hpf_cegis(*picked[i], lib, o, hpf, &dicts[i])); });
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(concurrent, sequential);
 }
 
 TEST(IterativeCegis, FindsEquivalentsForSub) {

@@ -358,6 +358,16 @@ TEST(EngineQedEncoding, PlaistedGreenbaumMatchesTseitinVerdicts) {
 // End-to-end integration: a real Table-1 QED job through the engine. The
 // xor_as_or bug is invisible to EDDI-V (uniform corruption) and must be
 // falsified under EDSEP-V with the pinned equivalence table.
+TEST(EnginePinnedTable, FailedMultisetIsAHardError) {
+  // Checked in every build type, not by assert: a failed multiset must
+  // never reach the table.
+  PinnedTable t;
+  EXPECT_THROW(t.add("AND", synth::make_spec(isa::Opcode::AND), {"ADD", "ADD"}, 4),
+               std::runtime_error);
+  EXPECT_THROW(t.comp("NO_SUCH_COMPONENT"), std::logic_error);
+  EXPECT_EQ(t.table.size(), 0u);
+}
+
 TEST(EngineQedIntegration, EdsepFalsifiesSingleInstructionBug) {
   const auto pinned = make_pinned_table(4);
   proc::Mutation bug;
